@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
   double best = 0.0;
   std::string best_at;
 
-  for (const AppKind app : kAllApps) {
+  for (std::size_t panel = 0; panel < std::size(kAllApps); ++panel) {
+    const AppKind app = kAllApps[panel];
     Table table({"graph", "partitioner", "prior-work (s)", "ccr-guided (s)", "speedup"});
     std::vector<double> speedups;
     for (const NamedGraph& g : graphs) {
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
             .cell(format_speedup(speedup));
       }
     }
-    std::cout << "--- Fig. 9" << static_cast<char>('a' + (&app - kAllApps)) << ": "
+    std::cout << "--- Fig. 9" << static_cast<char>('a' + panel) << ": "
               << short_app_name(app) << " ---\n";
     emit_table(table, csv);
     std::cout << "mean speedup: " << format_speedup(mean_of(speedups)) << "\n\n";

@@ -55,7 +55,7 @@ void BM_Partitioner(benchmark::State& state) {
   state.SetLabel(pglb::to_string(kind));
 }
 BENCHMARK(BM_Partitioner)
-    ->DenseRange(0, 4, 1)  // the five PartitionerKind values
+    ->DenseRange(0, 6, 1)  // all seven PartitionerKind values
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

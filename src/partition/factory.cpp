@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "partition/chunking.hpp"
-#include "partition/grid.hpp"
-#include "partition/oblivious.hpp"
 #include "partition/random_hash.hpp"
 
 namespace pglb {
@@ -35,12 +33,13 @@ std::unique_ptr<Partitioner> make_partitioner(PartitionerKind kind,
                                               const PartitionerOptions& options) {
   switch (kind) {
     case PartitionerKind::kRandomHash: return std::make_unique<RandomHashPartitioner>();
-    case PartitionerKind::kOblivious: return std::make_unique<ObliviousPartitioner>();
-    case PartitionerKind::kGrid: return std::make_unique<GridPartitioner>();
-    case PartitionerKind::kHybrid: return std::make_unique<HybridPartitioner>(options.hybrid);
     case PartitionerKind::kGinger: return std::make_unique<GingerPartitioner>(options.ginger);
     case PartitionerKind::kChunking: return std::make_unique<ChunkingPartitioner>();
-    case PartitionerKind::kHdrf: return std::make_unique<HdrfPartitioner>(options.hdrf);
+    case PartitionerKind::kOblivious:
+    case PartitionerKind::kGrid:
+    case PartitionerKind::kHybrid:
+    case PartitionerKind::kHdrf:
+      return make_streaming_partitioner(kind, options.hybrid, options.hdrf);
   }
   throw std::invalid_argument("make_partitioner: unknown kind");
 }

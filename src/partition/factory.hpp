@@ -7,8 +7,7 @@
 #include <string>
 
 #include "partition/ginger.hpp"
-#include "partition/hdrf.hpp"
-#include "partition/hybrid.hpp"
+#include "partition/incremental.hpp"
 #include "partition/partitioner.hpp"
 
 namespace pglb {

@@ -1,18 +1,15 @@
 #pragma once
-// Resumable scorer state for the streaming partitioners (docs/DYNAMIC.md).
+// The streaming partitioners (hybrid, HDRF, oblivious, grid) and their
+// resumable scorer state (docs/DYNAMIC.md).
 //
-// The streaming family (hybrid, HDRF, oblivious, grid) assigns edges one at a
-// time against evolving per-vertex / per-machine state.  An IncrementalState
-// externalizes exactly that state so the delta planner can keep extending an
-// assignment as mutation batches arrive instead of re-partitioning from
-// scratch.
-//
-// The contract that makes the scratch-equivalence gate work: each
-// implementation's assign loop is the corresponding Partitioner's loop body,
-// verbatim.  Feeding an entire graph through a FRESH state as one batch
-// yields the same assignment, bit for bit, as Partitioner::partition on that
-// graph — that is both the unit test and how the delta planner rebuilds its
-// state after a full re-profile.
+// The streaming family assigns edges one at a time against evolving
+// per-vertex / per-machine state.  An IncrementalState owns exactly that
+// state, so the delta planner can keep extending an assignment as mutation
+// batches arrive instead of re-partitioning from scratch.  It is also the
+// only implementation of these algorithms: make_partitioner's partition() for
+// them feeds the whole graph through a FRESH state as one batch, which is how
+// the delta planner rebuilds its state after a full re-profile too.  Pinned
+// assignment digests (tests/test_property_partitioners.cpp) are the reference.
 //
 // Retraction is the documented approximation: removing an edge returns its
 // load to the pool (and rolls back degree counters where the scorer keeps
@@ -34,10 +31,23 @@
 #include <vector>
 
 #include "graph/edge_list.hpp"
-#include "partition/factory.hpp"
+#include "partition/partitioner.hpp"
 #include "persist/snapshot.hpp"
 
 namespace pglb {
+
+enum class PartitionerKind;  // enumerators in partition/factory.hpp
+
+struct HybridOptions {
+  /// In-degree above which a vertex is treated as high-degree (PowerLyra's
+  /// default threshold).
+  EdgeId high_degree_threshold = 100;
+};
+
+struct HdrfOptions {
+  /// Balance weight lambda; Petroni et al. recommend ~1.
+  double lambda = 1.0;
+};
 
 class IncrementalState {
  public:
@@ -50,9 +60,10 @@ class IncrementalState {
   virtual void ensure_vertices(VertexId count) = 0;
 
   /// Assign every edge of `batch` in order, appending one owner per edge to
-  /// `out`.  Endpoints must be covered by ensure_vertices first.  Stateful:
-  /// each call continues where the previous one stopped, and one call over a
-  /// whole graph from a fresh state reproduces the scratch partitioner.
+  /// `out`.  Stateful: each call continues where the previous one stopped.
+  /// Throws std::out_of_range on an endpoint not covered by ensure_vertices,
+  /// and CancelledError when the ambient CancelScope fires (polled every
+  /// 16,384 edges); after a throw the state and `out` are unspecified.
   virtual void assign_batch(std::span<const Edge> batch,
                             std::vector<MachineId>& out) = 0;
 
@@ -71,26 +82,33 @@ class IncrementalState {
   /// True for the streaming family that carries scorer state.
   static bool supports(PartitionerKind kind) noexcept;
 
-  /// Fresh state for `kind`.  Validates like the scratch partitioner
-  /// (positive weights; machine-count limits) and throws
-  /// std::invalid_argument on the same inputs, or on an unsupported kind.
+  /// Fresh state for `kind`.  Validates weights (normalized_weights) and the
+  /// machine-count limits, throwing std::invalid_argument on violations or
+  /// on an unsupported kind.
   static std::unique_ptr<IncrementalState> create(
       PartitionerKind kind, std::span<const double> weights, std::uint64_t seed,
-      const PartitionerOptions& options = {});
+      const HybridOptions& hybrid = {}, const HdrfOptions& hdrf = {});
 
-  /// create() followed by restoring an encode()d payload.  Throws
-  /// persist::SnapshotError on malformed bytes.
+  /// create() followed by restoring an encode()d payload whose per-vertex
+  /// arrays may cover at most `max_vertices` ids — checked before anything is
+  /// allocated for them.  Throws persist::SnapshotError on malformed bytes.
   static std::unique_ptr<IncrementalState> decode(
-      PartitionerKind kind, persist::Cursor& cursor,
+      PartitionerKind kind, persist::Cursor& cursor, std::uint64_t max_vertices,
       std::span<const double> weights, std::uint64_t seed,
-      const PartitionerOptions& options = {});
+      const HybridOptions& hybrid = {}, const HdrfOptions& hdrf = {});
 
  protected:
   explicit IncrementalState(std::uint64_t seed) : seed_(seed) {}
 
-  virtual void decode_state(persist::Cursor& cursor) = 0;
+  virtual void decode_state(persist::Cursor& cursor, std::uint64_t max_vertices) = 0;
 
   std::uint64_t seed_;
 };
+
+/// make_partitioner's hybrid, HDRF, oblivious and grid: partition() assigns
+/// the whole graph as one batch through a fresh IncrementalState.
+std::unique_ptr<Partitioner> make_streaming_partitioner(PartitionerKind kind,
+                                                        const HybridOptions& hybrid,
+                                                        const HdrfOptions& hdrf);
 
 }  // namespace pglb

@@ -14,7 +14,7 @@ std::vector<EdgeId> PartitionAssignment::machine_edge_counts() const {
   return counts;
 }
 
-std::vector<double> Partitioner::normalized_weights(std::span<const double> weights) {
+std::vector<double> normalized_weights(std::span<const double> weights) {
   if (weights.empty()) throw std::invalid_argument("partition: weights must be non-empty");
   double total = 0.0;
   for (const double w : weights) {

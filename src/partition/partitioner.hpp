@@ -37,10 +37,10 @@ class Partitioner {
   virtual PartitionAssignment partition(const EdgeList& graph,
                                         std::span<const double> weights,
                                         std::uint64_t seed) const = 0;
-
- protected:
-  /// Validate + normalise weights to sum 1.
-  static std::vector<double> normalized_weights(std::span<const double> weights);
 };
+
+/// Validate + normalise weights to sum 1.  Throws std::invalid_argument on an
+/// empty vector or a non-positive / non-finite entry.
+std::vector<double> normalized_weights(std::span<const double> weights);
 
 }  // namespace pglb

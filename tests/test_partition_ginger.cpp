@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/powerlaw.hpp"
-#include "partition/hybrid.hpp"
+#include "partition/factory.hpp"
 #include "partition/metrics.hpp"
 #include "partition/weights.hpp"
 
@@ -51,7 +51,7 @@ TEST(Ginger, ImprovesReplicationOverHybrid) {
   // (Sec. II-C1: "minimal replication in the second round").
   const auto g = sample_graph();
   const auto weights = uniform_weights(4);
-  const auto hybrid = HybridPartitioner().partition(g, weights, 1);
+  const auto hybrid = make_partitioner(PartitionerKind::kHybrid)->partition(g, weights, 1);
   const auto ginger = GingerPartitioner().partition(g, weights, 1);
   EXPECT_LE(compute_partition_metrics(g, ginger, weights).replication_factor,
             compute_partition_metrics(g, hybrid, weights).replication_factor * 1.02);

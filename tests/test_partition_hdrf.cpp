@@ -1,5 +1,3 @@
-#include "partition/hdrf.hpp"
-
 #include <gtest/gtest.h>
 
 #include "gen/powerlaw.hpp"
@@ -19,9 +17,15 @@ EdgeList sample_graph() {
   return generate_powerlaw(config);
 }
 
+std::unique_ptr<Partitioner> hdrf(const HdrfOptions& options = {}) {
+  PartitionerOptions all;
+  all.hdrf = options;
+  return make_partitioner(PartitionerKind::kHdrf, all);
+}
+
 TEST(Hdrf, AssignsEveryEdgeInRange) {
   const auto g = sample_graph();
-  const auto a = HdrfPartitioner().partition(g, uniform_weights(4), 1);
+  const auto a = hdrf()->partition(g, uniform_weights(4), 1);
   ASSERT_EQ(a.edge_to_machine.size(), g.num_edges());
   for (const MachineId m : a.edge_to_machine) EXPECT_LT(m, 4u);
 }
@@ -30,16 +34,16 @@ TEST(Hdrf, BeatsRandomHashOnReplication) {
   // HDRF's raison d'etre: fewer mirrors than hashing on skewed graphs.
   const auto g = sample_graph();
   const auto weights = uniform_weights(4);
-  const auto hdrf = HdrfPartitioner().partition(g, weights, 1);
+  const auto scored = hdrf()->partition(g, weights, 1);
   const auto random = RandomHashPartitioner{}.partition(g, weights, 1);
-  EXPECT_LT(compute_partition_metrics(g, hdrf, weights).replication_factor,
+  EXPECT_LT(compute_partition_metrics(g, scored, weights).replication_factor,
             compute_partition_metrics(g, random, weights).replication_factor);
 }
 
 TEST(Hdrf, BalanceTermKeepsLoadsTight) {
   const auto g = sample_graph();
   const auto weights = uniform_weights(4);
-  const auto a = HdrfPartitioner().partition(g, weights, 1);
+  const auto a = hdrf()->partition(g, weights, 1);
   const auto metrics = compute_partition_metrics(g, a, weights);
   EXPECT_LT(metrics.weighted_imbalance, 1.10);
 }
@@ -47,7 +51,7 @@ TEST(Hdrf, BalanceTermKeepsLoadsTight) {
 TEST(Hdrf, CapabilityWeightsShiftLoad) {
   const auto g = sample_graph();
   const std::vector<double> weights = {1.0, 3.5};
-  const auto a = HdrfPartitioner().partition(g, weights, 1);
+  const auto a = hdrf()->partition(g, weights, 1);
   const auto counts = a.machine_edge_counts();
   const double share1 =
       static_cast<double>(counts[1]) / static_cast<double>(g.num_edges());
@@ -63,16 +67,16 @@ TEST(Hdrf, LambdaZeroMaximisesLocality) {
   locality_only.lambda = 0.0;
   HdrfOptions balanced;
   balanced.lambda = 4.0;
-  const auto a_loc = HdrfPartitioner(locality_only).partition(g, weights, 1);
-  const auto a_bal = HdrfPartitioner(balanced).partition(g, weights, 1);
+  const auto a_loc = hdrf(locality_only)->partition(g, weights, 1);
+  const auto a_bal = hdrf(balanced)->partition(g, weights, 1);
   EXPECT_LE(compute_partition_metrics(g, a_loc, weights).replication_factor,
             compute_partition_metrics(g, a_bal, weights).replication_factor + 1e-9);
 }
 
 TEST(Hdrf, DeterministicAndRegistered) {
   const auto g = sample_graph();
-  const auto a = HdrfPartitioner().partition(g, uniform_weights(3), 5);
-  const auto b = HdrfPartitioner().partition(g, uniform_weights(3), 5);
+  const auto a = hdrf()->partition(g, uniform_weights(3), 5);
+  const auto b = hdrf()->partition(g, uniform_weights(3), 5);
   EXPECT_EQ(a.edge_to_machine, b.edge_to_machine);
   EXPECT_EQ(partitioner_from_string("hdrf"), PartitionerKind::kHdrf);
   EXPECT_EQ(make_partitioner(PartitionerKind::kHdrf)->name(), "hdrf");
@@ -80,7 +84,7 @@ TEST(Hdrf, DeterministicAndRegistered) {
 
 TEST(Hdrf, RejectsTooManyMachines) {
   const auto g = sample_graph();
-  EXPECT_THROW(HdrfPartitioner().partition(g, uniform_weights(65), 1),
+  EXPECT_THROW(hdrf()->partition(g, uniform_weights(65), 1),
                std::invalid_argument);
 }
 

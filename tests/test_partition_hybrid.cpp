@@ -1,8 +1,7 @@
-#include "partition/hybrid.hpp"
-
 #include <gtest/gtest.h>
 
 #include "gen/powerlaw.hpp"
+#include "partition/factory.hpp"
 #include "partition/metrics.hpp"
 #include "partition/random_hash.hpp"
 #include "partition/weights.hpp"
@@ -19,13 +18,19 @@ EdgeList sample_graph() {
   return generate_powerlaw(config);
 }
 
+std::unique_ptr<Partitioner> hybrid(const HybridOptions& options = {}) {
+  PartitionerOptions all;
+  all.hybrid = options;
+  return make_partitioner(PartitionerKind::kHybrid, all);
+}
+
 TEST(Hybrid, LowDegreeInEdgesAreColocated) {
   // Every in-edge of a low-degree vertex must land on one machine (edge-cut
   // phase 1) — zero mirrors for the target.
   const auto g = sample_graph();
   HybridOptions options;
   options.high_degree_threshold = 100;
-  const auto a = HybridPartitioner(options).partition(g, uniform_weights(4), 1);
+  const auto a = hybrid(options)->partition(g, uniform_weights(4), 1);
 
   const auto in_degree = g.in_degrees();
   std::vector<MachineId> home(g.num_vertices(), kInvalidMachine);
@@ -49,7 +54,7 @@ TEST(Hybrid, HighDegreeInEdgesAreScattered) {
   EdgeList reversed(2000);
   for (const Edge& e : g.edges()) reversed.add(e.dst, e.src);
 
-  const auto a = HybridPartitioner().partition(reversed, uniform_weights(4), 1);
+  const auto a = hybrid()->partition(reversed, uniform_weights(4), 1);
   std::vector<bool> used(4, false);
   for (const MachineId m : a.edge_to_machine) used[m] = true;
   for (const bool u : used) EXPECT_TRUE(u);
@@ -64,7 +69,7 @@ TEST(Hybrid, ThresholdBoundaryIsExclusive) {
   for (VertexId v = 1; v <= 5; ++v) g.add(v, 0);   // in-degree(0) == 5 == threshold
   for (VertexId v = 1; v <= 6; ++v) g.add(v, 11);  // in-degree(11) == 6 > threshold
 
-  const auto a = HybridPartitioner(options).partition(g, uniform_weights(4), 2);
+  const auto a = hybrid(options)->partition(g, uniform_weights(4), 2);
   // Vertex 0: all in-edges on one machine.
   for (EdgeId i = 1; i < 5; ++i) EXPECT_EQ(a.edge_to_machine[i], a.edge_to_machine[0]);
   // Vertex 11: edges keyed by distinct sources — extremely unlikely to all
@@ -79,7 +84,7 @@ TEST(Hybrid, ThresholdBoundaryIsExclusive) {
 TEST(Hybrid, WeightsShiftLoads) {
   const auto g = sample_graph();
   const std::vector<double> weights = {1.0, 3.0};
-  const auto a = HybridPartitioner().partition(g, weights, 1);
+  const auto a = hybrid()->partition(g, weights, 1);
   const auto counts = a.machine_edge_counts();
   const double share1 =
       static_cast<double>(counts[1]) / static_cast<double>(g.num_edges());
@@ -90,15 +95,15 @@ TEST(Hybrid, LowerReplicationThanRandomHashOnSkewedGraphs) {
   const auto g = sample_graph();
   const auto weights = uniform_weights(4);
   const auto random = RandomHashPartitioner{}.partition(g, weights, 1);
-  const auto hybrid = HybridPartitioner().partition(g, weights, 1);
-  EXPECT_LT(compute_partition_metrics(g, hybrid, weights).replication_factor,
+  const auto mixed = hybrid()->partition(g, weights, 1);
+  EXPECT_LT(compute_partition_metrics(g, mixed, weights).replication_factor,
             compute_partition_metrics(g, random, weights).replication_factor);
 }
 
 TEST(Hybrid, Deterministic) {
   const auto g = sample_graph();
-  const auto a = HybridPartitioner().partition(g, uniform_weights(3), 4);
-  const auto b = HybridPartitioner().partition(g, uniform_weights(3), 4);
+  const auto a = hybrid()->partition(g, uniform_weights(3), 4);
+  const auto b = hybrid()->partition(g, uniform_weights(3), 4);
   EXPECT_EQ(a.edge_to_machine, b.edge_to_machine);
 }
 

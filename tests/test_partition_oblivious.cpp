@@ -1,8 +1,7 @@
-#include "partition/oblivious.hpp"
-
 #include <gtest/gtest.h>
 
 #include "gen/powerlaw.hpp"
+#include "partition/factory.hpp"
 #include "partition/metrics.hpp"
 #include "partition/random_hash.hpp"
 #include "partition/weights.hpp"
@@ -18,10 +17,11 @@ EdgeList sample_graph() {
   return generate_powerlaw(config);
 }
 
+std::unique_ptr<Partitioner> oblivious() { return make_partitioner(PartitionerKind::kOblivious); }
+
 TEST(Oblivious, AssignsEveryEdgeInRange) {
   const auto g = sample_graph();
-  const ObliviousPartitioner p;
-  const auto a = p.partition(g, uniform_weights(4), 1);
+  const auto a = oblivious()->partition(g, uniform_weights(4), 1);
   ASSERT_EQ(a.edge_to_machine.size(), g.num_edges());
   for (const MachineId m : a.edge_to_machine) EXPECT_LT(m, 4u);
 }
@@ -31,7 +31,7 @@ TEST(Oblivious, LowerReplicationThanRandomHash) {
   const auto g = sample_graph();
   const auto weights = uniform_weights(4);
   const auto random = RandomHashPartitioner{}.partition(g, weights, 1);
-  const auto greedy = ObliviousPartitioner{}.partition(g, weights, 1);
+  const auto greedy = oblivious()->partition(g, weights, 1);
   const auto random_metrics = compute_partition_metrics(g, random, weights);
   const auto greedy_metrics = compute_partition_metrics(g, greedy, weights);
   EXPECT_LT(greedy_metrics.replication_factor, random_metrics.replication_factor);
@@ -40,7 +40,7 @@ TEST(Oblivious, LowerReplicationThanRandomHash) {
 TEST(Oblivious, LoadsTrackUniformWeights) {
   const auto g = sample_graph();
   const auto weights = uniform_weights(4);
-  const auto a = ObliviousPartitioner{}.partition(g, weights, 1);
+  const auto a = oblivious()->partition(g, weights, 1);
   const auto metrics = compute_partition_metrics(g, a, weights);
   // Oblivious is the greedy load-balancer of the family; near-perfect here.
   EXPECT_LT(metrics.weighted_imbalance, 1.05);
@@ -49,7 +49,7 @@ TEST(Oblivious, LoadsTrackUniformWeights) {
 TEST(Oblivious, LoadsTrackSkewedWeights) {
   const auto g = sample_graph();
   const std::vector<double> weights = {1.0, 3.5};
-  const auto a = ObliviousPartitioner{}.partition(g, weights, 1);
+  const auto a = oblivious()->partition(g, weights, 1);
   const auto counts = a.machine_edge_counts();
   const double share1 =
       static_cast<double>(counts[1]) / static_cast<double>(g.num_edges());
@@ -60,8 +60,8 @@ TEST(Oblivious, LoadsTrackSkewedWeights) {
 
 TEST(Oblivious, Deterministic) {
   const auto g = sample_graph();
-  const auto a = ObliviousPartitioner{}.partition(g, uniform_weights(3), 9);
-  const auto b = ObliviousPartitioner{}.partition(g, uniform_weights(3), 9);
+  const auto a = oblivious()->partition(g, uniform_weights(3), 9);
+  const auto b = oblivious()->partition(g, uniform_weights(3), 9);
   EXPECT_EQ(a.edge_to_machine, b.edge_to_machine);
 }
 
@@ -71,7 +71,7 @@ TEST(Oblivious, SharedReplicaCaseReusesMachine) {
   EdgeList g(4);
   g.add(0, 1);
   g.add(0, 1);
-  const auto a = ObliviousPartitioner{}.partition(g, uniform_weights(4), 3);
+  const auto a = oblivious()->partition(g, uniform_weights(4), 3);
   EXPECT_EQ(a.edge_to_machine[0], a.edge_to_machine[1]);
 }
 
@@ -83,7 +83,7 @@ TEST(Oblivious, FreshVerticesGoToLeastLoadedMachine) {
   g.add(2, 3);
   g.add(4, 5);
   g.add(6, 7);
-  const auto a = ObliviousPartitioner{}.partition(g, uniform_weights(4), 3);
+  const auto a = oblivious()->partition(g, uniform_weights(4), 3);
   std::vector<bool> used(4, false);
   for (const MachineId m : a.edge_to_machine) used[m] = true;
   for (const bool u : used) EXPECT_TRUE(u);
@@ -91,8 +91,7 @@ TEST(Oblivious, FreshVerticesGoToLeastLoadedMachine) {
 
 TEST(Oblivious, RejectsTooManyMachines) {
   const auto g = sample_graph();
-  const ObliviousPartitioner p;
-  EXPECT_THROW(p.partition(g, uniform_weights(65), 1), std::invalid_argument);
+  EXPECT_THROW(oblivious()->partition(g, uniform_weights(65), 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 #include "gen/powerlaw.hpp"
 #include "obs/registry.hpp"
-#include "partition/hybrid.hpp"
+#include "partition/factory.hpp"
 #include "partition/weights.hpp"
 #include "util/deadline.hpp"
 #include "util/fault.hpp"
@@ -110,7 +110,7 @@ TEST(CancelScope, DoesNotPropagateToOtherThreads) {
   other.join();
 }
 
-TEST(PartitionerCancellation, HybridHonoursAmbientDeadline) {
+TEST(PartitionerCancellation, StreamingKindsHonourAmbientDeadline) {
   PowerLawConfig config;
   config.num_vertices = 40'000;  // > one 16384-edge poll stride
   config.alpha = 2.0;
@@ -118,19 +118,30 @@ TEST(PartitionerCancellation, HybridHonoursAmbientDeadline) {
   const EdgeList graph = generate_powerlaw(config);
   ASSERT_GT(graph.num_edges(), 16'384u);
 
-  const HybridPartitioner partitioner;
-  // No scope: runs to completion.
-  const auto baseline = partitioner.partition(graph, uniform_weights(4), 1);
+  for (const PartitionerKind kind : {PartitionerKind::kHybrid, PartitionerKind::kHdrf,
+                                     PartitionerKind::kOblivious, PartitionerKind::kGrid}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto partitioner = make_partitioner(kind);
+    // No scope: runs to completion.
+    const auto baseline = partitioner->partition(graph, uniform_weights(4), 1);
 
-  const CancelToken fired(Deadline::after(std::chrono::milliseconds(-1)));
-  const CancelScope scope(fired);
-  EXPECT_THROW(partitioner.partition(graph, uniform_weights(4), 1), CancelledError);
+    {
+      const CancelToken fired(Deadline::after(std::chrono::milliseconds(-1)));
+      const CancelScope scope(fired);
+      try {
+        partitioner->partition(graph, uniform_weights(4), 1);
+        ADD_FAILURE() << "expected CancelledError";
+      } catch (const CancelledError& e) {
+        EXPECT_EQ(e.site(), std::string("partition.") + to_string(kind));
+      }
+    }
 
-  // A live (unexpired) scope must not change the output.
-  const CancelToken live(Deadline::after_ms(60'000));
-  const CancelScope live_scope(live);
-  const auto under_deadline = partitioner.partition(graph, uniform_weights(4), 1);
-  EXPECT_EQ(baseline.edge_to_machine, under_deadline.edge_to_machine);
+    // A live (unexpired) scope must not change the output.
+    const CancelToken live(Deadline::after_ms(60'000));
+    const CancelScope live_scope(live);
+    const auto under_deadline = partitioner->partition(graph, uniform_weights(4), 1);
+    EXPECT_EQ(baseline.edge_to_machine, under_deadline.edge_to_machine);
+  }
 }
 
 TEST(FaultSpecs, ParsesActionsAndTriggers) {

@@ -5,8 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/powerlaw.hpp"
-#include "partition/ginger.hpp"
-#include "partition/hybrid.hpp"
+#include "partition/factory.hpp"
 #include "partition/metrics.hpp"
 #include "partition/weights.hpp"
 
@@ -21,13 +20,19 @@ EdgeList sample_graph() {
   return generate_powerlaw(config);
 }
 
+std::unique_ptr<Partitioner> hybrid(const HybridOptions& options) {
+  PartitionerOptions all;
+  all.hybrid = options;
+  return make_partitioner(PartitionerKind::kHybrid, all);
+}
+
 class HybridThresholdSweep : public ::testing::TestWithParam<EdgeId> {};
 
 TEST_P(HybridThresholdSweep, AllEdgesAssignedAtEveryThreshold) {
   const auto g = sample_graph();
   HybridOptions options;
   options.high_degree_threshold = GetParam();
-  const auto a = HybridPartitioner(options).partition(g, uniform_weights(4), 1);
+  const auto a = hybrid(options)->partition(g, uniform_weights(4), 1);
   ASSERT_EQ(a.edge_to_machine.size(), g.num_edges());
 }
 
@@ -40,13 +45,13 @@ TEST_P(HybridThresholdSweep, GingerAgreesOnHighDegreePlacement) {
   GingerOptions g_options;
   g_options.high_degree_threshold = GetParam();
 
-  const auto hybrid = HybridPartitioner(h_options).partition(g, uniform_weights(4), 1);
+  const auto mixed = hybrid(h_options)->partition(g, uniform_weights(4), 1);
   const auto ginger = GingerPartitioner(g_options).partition(g, uniform_weights(4), 1);
   const auto in_degree = g.in_degrees();
   EdgeId index = 0;
   for (const Edge& e : g.edges()) {
     if (in_degree[e.dst] > GetParam()) {
-      ASSERT_EQ(hybrid.edge_to_machine[index], ginger.edge_to_machine[index])
+      ASSERT_EQ(mixed.edge_to_machine[index], ginger.edge_to_machine[index])
           << "edge " << index;
     }
     ++index;
@@ -63,7 +68,7 @@ TEST(HybridThreshold, ZeroThresholdIsPureVertexCut) {
   const auto g = sample_graph();
   HybridOptions options;
   options.high_degree_threshold = 0;
-  const auto a = HybridPartitioner(options).partition(g, uniform_weights(4), 1);
+  const auto a = hybrid(options)->partition(g, uniform_weights(4), 1);
   // Same source => same machine.
   std::vector<MachineId> source_home(g.num_vertices(), kInvalidMachine);
   EdgeId index = 0;
@@ -84,7 +89,7 @@ TEST(HybridThreshold, HugeThresholdIsPureEdgeCut) {
   HybridOptions options;
   options.high_degree_threshold = 1'000'000;
   const auto weights = uniform_weights(4);
-  const auto a = HybridPartitioner(options).partition(g, weights, 1);
+  const auto a = hybrid(options)->partition(g, weights, 1);
   std::vector<MachineId> target_home(g.num_vertices(), kInvalidMachine);
   EdgeId index = 0;
   for (const Edge& e : g.edges()) {
@@ -107,7 +112,7 @@ TEST(HybridThreshold, MixedCutReplicatesLessThanPureVertexCut) {
   auto rf_at = [&](EdgeId threshold) {
     HybridOptions options;
     options.high_degree_threshold = threshold;
-    const auto a = HybridPartitioner(options).partition(g, weights, 1);
+    const auto a = hybrid(options)->partition(g, weights, 1);
     return compute_partition_metrics(g, a, weights).replication_factor;
   };
   const double pure_vertex_cut = rf_at(0);
