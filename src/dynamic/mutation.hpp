@@ -128,8 +128,12 @@ class LiveGraph {
   /// seeded mutation-stream generator.
   std::size_t nth_live_slot(std::uint64_t n) const;
 
- private:
+  /// Extend the vertex space to `count` ids (never shrinks); the new ids are
+  /// not live.  A snapshot restore uses it to keep the space it recorded when
+  /// the highest vertices had been removed.
   void grow_vertex_space(VertexId count);
+
+ private:
   void revive(VertexId v);
   static std::uint64_t pair_key(VertexId src, VertexId dst) noexcept {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
