@@ -353,7 +353,9 @@ int main(int argc, char** argv) {
     }
     install_stop_handlers();
     router->start();
-    std::cerr << "pglb_router: fronting " << ports.size() << " backend(s)\n";
+    // One write: spawned replicas share this stderr, and a line split across
+    // writes can interleave with theirs where scripts grep for it.
+    std::cerr << ("pglb_router: fronting " + std::to_string(ports.size()) + " backend(s)\n");
 
     // --- autoscale controller ------------------------------------------------
     // Samples fleet pressure on a cadence, asks the (pure) Autoscaler for a
