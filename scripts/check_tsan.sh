@@ -22,7 +22,7 @@ cmake -B "$BUILD_DIR" -S . -DPGLB_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebI
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_thread_pool test_parallel_determinism test_service_server \
            test_obs_trace test_resilience test_service_resilience \
-           test_fleet test_fleet_resilience test_autoscale \
+           test_fleet test_fleet_resilience test_autoscale test_replica_fleet \
            test_wire_server test_tcp_backend test_persist \
            test_wire test_netfault test_dynamic test_dynamic_protocol \
            pglb_chaos pglb_loadgen pglb_serve

@@ -6,10 +6,10 @@
 //    IN the sample (now_ms), never from a wall clock, so unit tests drive
 //    hysteresis, cooldown, and bounds on a virtual clock with zero processes
 //    (the same idiom as FleetOptions::clock_ms and BreakerOptions::clock_ms).
-//  * the actuator — pglb_router's controller thread, which samples the fleet,
-//    calls decide(), and turns ScaleUp/Drain into spawn / SIGTERM-drain using
-//    the machinery the fleet smoke already exercises.  Rendezvous hashing
-//    guarantees a drained replica's keys (and only its keys) re-home.
+//  * the actuator — ReplicaFleet (fleet/replica_fleet.hpp), which samples
+//    the fleet, calls decide(), and turns ScaleUp/Drain into spawn / rejoin
+//    / SIGTERM-drain for both pglb_router and pglb_loadgen.  Rendezvous
+//    hashing guarantees a drained replica's keys (and only its keys) re-home.
 //
 // Hysteresis: pressure (mean in-flight + shed queue depth per active replica)
 // must exceed the scale-up threshold for `sustain_samples` consecutive
@@ -131,7 +131,7 @@ class Autoscaler {
 
 /// Build a FleetSample from the live registry + obs metrics: state, inflight
 /// and queue depth per backend plus the route p99.  spec_name is left empty —
-/// the actuator, which knows what it spawned, fills it in.
+/// ReplicaFleet::sample(), which knows what it spawned, fills it in.
 FleetSample sample_fleet(const FleetRegistry& fleet, const Registry& metrics);
 
 }  // namespace pglb

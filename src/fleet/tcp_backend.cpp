@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/registry.hpp"
@@ -96,6 +97,13 @@ bool send_gathered(int fd, const std::vector<std::string>& batch,
 }
 
 }  // namespace
+
+WireMode wire_mode_from_string(const std::string& name) {
+  if (name == "auto") return WireMode::kAuto;
+  if (name == "line") return WireMode::kLineJson;
+  if (name == "binary") return WireMode::kBinary;
+  throw std::invalid_argument("--wire must be auto, line, or binary");
+}
 
 TcpBackend::TcpBackend(std::string name, std::uint16_t port, std::string host,
                        WireMode mode, Registry* metrics)

@@ -48,6 +48,10 @@ enum class WireMode {
   kBinary,    ///< hello required; a declined handshake is a connect failure
 };
 
+/// Parse a --wire value: "auto", "line", or "binary".  Throws
+/// std::invalid_argument for anything else.
+WireMode wire_mode_from_string(const std::string& name);
+
 /// Jittered exponential backoff between reconnect attempts.  Without it a
 /// dead replica is re-dialed on EVERY submit — a tight retry loop that turns
 /// into a reconnect storm the moment the replica comes back (docs/CHAOS.md).

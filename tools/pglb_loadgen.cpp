@@ -46,7 +46,9 @@
 //
 // Chaos mode (docs/CHAOS.md): --chaos=SCENARIO (fleet mode only) spawns the
 // `pglb_chaos` fault-injection proxy between the router and its replicas and
-// points every TcpBackend at the proxy's ports.  The scenario uses the
+// points every TcpBackend at the proxy's ports.  It refuses a scheduled
+// restart (a restarted replica would bypass the proxy), so pass
+// --restart-at=0; a kill alone is fine.  The scenario uses the
 // netfault grammar (util/netfault.hpp); --chaos-seed seeds its RNG chains and
 // --chaos-proxy names the binary (default ./pglb_chaos).  After the run the
 // proxy's control endpoint is queried and a parseable per-rule summary is
@@ -96,23 +98,18 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "autoscale/autoscaler.hpp"
 #include "core/proxy_suite.hpp"
 #include "dynamic/mutation.hpp"
+#include "fleet/replica_fleet.hpp"
 #include "gen/powerlaw.hpp"
-#include "partition/factory.hpp"
-#include "fleet/router.hpp"
-#include "fleet/spawn.hpp"
-#include "fleet/tcp_backend.hpp"
-#include "fleet/warming.hpp"
 #include "obs/registry.hpp"
+#include "partition/factory.hpp"
 #include "service/server.hpp"
 #include "util/cli.hpp"
 #include "util/portfile.hpp"
@@ -613,16 +610,8 @@ LoadReport run_against_server(const std::string& server_path, std::size_t reques
 }
 
 // --- fleet mode -------------------------------------------------------------
-// Children come from the shared spawn helpers (fleet/spawn.hpp): ephemeral
-// ports by default, published via the port-file handshake, so parallel ctest
-// runs never collide on a fixed port range.
-
-WireMode wire_mode_from_name(const std::string& name) {
-  if (name == "auto") return WireMode::kAuto;
-  if (name == "line") return WireMode::kLineJson;
-  if (name == "binary") return WireMode::kBinary;
-  throw std::runtime_error("--wire must be auto, line, or binary");
-}
+// The replicas, their router, and the autoscale loop come from ReplicaFleet
+// (fleet/replica_fleet.hpp), the same lifecycle pglb_router uses.
 
 /// Fleet-mode knobs beyond the basic spawn parameters: the configurable
 /// kill/restart schedule, the wave arrival shape, cache churn, and the
@@ -646,52 +635,34 @@ struct RouterRunOptions {
   bool collect_responses = false;  ///< fill LoadReport::responses (--plans-out)
 };
 
-/// The spawned pglb_chaos proxy: per-route listener ports plus the control
-/// endpoint answering "metrics".
-struct ChaosChild {
-  pid_t pid = -1;
-  std::vector<std::uint16_t> ports;
-  std::uint16_t control_port = 0;
-};
-
-ChaosChild spawn_chaos(const RouterRunOptions& run,
-                       const std::vector<std::uint16_t>& targets,
-                       const std::string& port_dir) {
-  // Stale port files from a previous run in a reused dir would win the wait
-  // below; clear them before the fork.
-  const std::string control_file = port_dir + "/chaos-ctl.port";
-  std::remove(control_file.c_str());
+/// Fork the pglb_chaos proxy in front of `targets`.  It publishes one
+/// listener port per route as <port_dir>/chaos-r<k>.port and its control
+/// endpoint (answering "metrics") as <port_dir>/chaos-ctl.port.
+pid_t spawn_chaos(const RouterRunOptions& run,
+                  const std::vector<std::uint16_t>& targets,
+                  const std::string& port_dir) {
   std::string csv;
   for (std::size_t k = 0; k < targets.size(); ++k) {
-    std::remove((port_dir + "/chaos-r" + std::to_string(k) + ".port").c_str());
     if (k > 0) csv.push_back(',');
     csv += std::to_string(targets[k]);
   }
+  std::vector<std::string> args = {run.chaos_proxy_path,
+                                   "--targets=" + csv,
+                                   "--port-dir=" + port_dir,
+                                   "--control-port-file=" + port_dir + "/chaos-ctl.port",
+                                   "--scenario=" + run.chaos_scenario,
+                                   "--seed=" + std::to_string(run.chaos_seed)};
+  std::vector<char*> argv_child;
+  for (std::string& arg : args) argv_child.push_back(arg.data());
+  argv_child.push_back(nullptr);
   const pid_t pid = fork();
   if (pid < 0) throw std::runtime_error(std::string("fork: ") + std::strerror(errno));
   if (pid == 0) {
-    std::vector<std::string> args = {run.chaos_proxy_path,
-                                     "--targets=" + csv,
-                                     "--port-dir=" + port_dir,
-                                     "--control-port-file=" + control_file,
-                                     "--scenario=" + run.chaos_scenario,
-                                     "--seed=" + std::to_string(run.chaos_seed)};
-    std::vector<char*> argv_child;
-    argv_child.reserve(args.size() + 1);
-    for (std::string& arg : args) argv_child.push_back(arg.data());
-    argv_child.push_back(nullptr);
     execv(run.chaos_proxy_path.c_str(), argv_child.data());
     std::perror("execv pglb_chaos");
     _exit(127);
   }
-  ChaosChild child;
-  child.pid = pid;
-  for (std::size_t k = 0; k < targets.size(); ++k) {
-    child.ports.push_back(wait_port_file(
-        port_dir + "/chaos-r" + std::to_string(k) + ".port", 10'000));
-  }
-  child.control_port = wait_port_file(control_file, 10'000);
-  return child;
+  return pid;
 }
 
 /// One round-trip on the chaos control endpoint: "metrics" -> one JSON line.
@@ -718,379 +689,204 @@ std::string chaos_metrics(std::uint16_t control_port) {
 /// Route the mix through an in-process fleet Router over K spawned backends.
 /// Backend 0 is SIGKILLed / restarted on the configured schedule — the
 /// router must absorb both transitions with typed responses only.
-LoadReport run_against_router(SpawnOptions spawn_options, std::size_t requests,
+LoadReport run_against_router(const SpawnOptions& spawn_options, std::size_t requests,
                               int threads, std::size_t distinct,
                               std::uint64_t timeout_ms, std::size_t fleet_size,
                               std::uint16_t base_port, std::uint64_t hedge_ms,
                               const RouterRunOptions& run) {
-  if (base_port == 0) {
-    spawn_options.port_dir = make_port_dir();
-    std::cerr << "loadgen: port-dir " << spawn_options.port_dir << "\n";
+  RouterOptions options;
+  options.hedge_delay_ms = hedge_ms;
+  options.probe_interval_ms = 100;
+  Registry router_metrics;
+  ReplicaFleet fleet(spawn_options, options, run.wire, base_port, &router_metrics);
+  std::cerr << ("loadgen: port-dir " + fleet.port_dir() + "\n");
+  std::vector<std::uint16_t> ports = fleet.spawn_replicas(fleet_size);
+
+  // Chaos interposition: spawn the fault proxy over the live replica ports
+  // and hand the router the PROXY ports instead.  Scenario windows run on
+  // the proxy's clock, which starts here — a few ms before the first
+  // request, so from:<ms> offsets are effectively run-relative.  The fleet
+  // reaps the proxy after the replicas, whose drain traffic flows through it.
+  std::uint16_t chaos_control_port = 0;
+  if (!run.chaos_scenario.empty()) {
+    fleet.adopt(spawn_chaos(run, ports, fleet.port_dir()));
+    for (std::size_t k = 0; k < ports.size(); ++k) {
+      ports[k] = wait_port_file(
+          fleet.port_dir() + "/chaos-r" + std::to_string(k) + ".port", 10'000);
+    }
+    chaos_control_port = wait_port_file(fleet.port_dir() + "/chaos-ctl.port", 10'000);
+    std::cerr << ("loadgen: chaos proxy up (control port " +
+                  std::to_string(chaos_control_port) + ")\n");
   }
-  const auto fixed_port = [&](std::size_t slot,
-                              std::uint16_t current) -> std::uint16_t {
-    if (base_port == 0) return 0;  // ephemeral: respawn picks a fresh port
-    return current != 0 ? current
-                        : static_cast<std::uint16_t>(base_port + slot);
-  };
-  std::vector<ServeChild> children;
-  ChaosChild chaos;
-  const auto kill_children = [&] {
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGKILL);
-    }
-    if (chaos.pid > 0) kill(chaos.pid, SIGKILL);
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-    if (chaos.pid > 0) {
-      int status = 0;
-      waitpid(chaos.pid, &status, 0);
-      chaos.pid = -1;
-    }
-  };
-  try {
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      children.push_back(spawn_serve(spawn_options, fixed_port(k, 0),
-                                     "b" + std::to_string(k)));
-    }
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      wait_serve_ready(children[k], spawn_options, "b" + std::to_string(k),
-                       30'000);
-    }
+  fleet.connect(ports);
+  Router& router = fleet.router();
 
-    // Chaos interposition: spawn the fault proxy over the live replica ports
-    // and hand the router the PROXY ports instead.  Scenario windows run on
-    // the proxy's clock, which starts here — a few ms before the first
-    // request, so from:<ms> offsets are effectively run-relative.
-    std::vector<std::uint16_t> backend_ports;
-    for (const ServeChild& child : children) backend_ports.push_back(child.port);
-    if (!run.chaos_scenario.empty()) {
-      if (spawn_options.port_dir.empty()) {
-        spawn_options.port_dir = make_port_dir();
-      }
-      chaos = spawn_chaos(run, backend_ports, spawn_options.port_dir);
-      backend_ports = chaos.ports;
-      std::cerr << "loadgen: chaos proxy up (control port "
-                << chaos.control_port << ")\n";
-    }
+  LoadReport report;
+  report.latencies_s.resize(requests);
+  if (run.collect_responses) report.responses.resize(requests);
+  std::atomic<std::size_t> failed{0}, degraded{0}, timeouts{0}, overloaded{0};
+  std::atomic<bool> first_error{false};
+  std::atomic<std::size_t> next{0};
+  // A percentage outside (0, 100) maps to `requests`, which no request
+  // index ever equals — the event simply never fires.
+  const std::size_t kill_at =
+      run.kill_at_pct > 0 && run.kill_at_pct < 100
+          ? requests * run.kill_at_pct / 100
+          : requests;
+  const std::size_t restart_at =
+      run.restart_at_pct > 0 && run.restart_at_pct < 100
+          ? requests * run.restart_at_pct / 100
+          : requests;
 
-    RouterOptions options;
-    options.hedge_delay_ms = hedge_ms;
-    options.probe_interval_ms = 100;
-    Registry router_metrics;
-    auto router = std::make_unique<Router>(options, &router_metrics);
-    // Kept so respawns onto fresh ephemeral ports can re-point the existing
-    // backend (set_port) without disturbing its fleet slot.
-    std::vector<std::shared_ptr<TcpBackend>> tcp_backends;
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      tcp_backends.push_back(
-          std::make_shared<TcpBackend>("b" + std::to_string(k),
-                                       backend_ports[k], "127.0.0.1", run.wire));
-      router->add_backend(tcp_backends.back());
+  // Diurnal wave: open-loop send times along a half-sine peaking at
+  // wave_peak_qps mid-run, floored at 5% of peak so the tail still drains.
+  std::vector<double> send_at;
+  if (run.wave_peak_qps > 0.0) {
+    send_at.resize(requests);
+    constexpr double kPi = 3.14159265358979323846;
+    double t = 0.0;
+    for (std::size_t i = 0; i < requests; ++i) {
+      const double phase =
+          kPi * (static_cast<double>(i) + 0.5) / static_cast<double>(requests);
+      const double rate = run.wave_peak_qps * std::max(0.05, std::sin(phase));
+      t += 1.0 / rate;
+      send_at[i] = t;
     }
-    router->start();
-
-    LoadReport report;
-    report.latencies_s.resize(requests);
-    if (run.collect_responses) report.responses.resize(requests);
-    std::atomic<std::size_t> failed{0}, degraded{0}, timeouts{0}, overloaded{0};
-    std::atomic<bool> first_error{false};
-    std::atomic<std::size_t> next{0};
-    // A percentage outside (0, 100) maps to `requests`, which no request
-    // index ever equals — the event simply never fires.
-    const std::size_t kill_at =
-        run.kill_at_pct > 0 && run.kill_at_pct < 100
-            ? requests * run.kill_at_pct / 100
-            : requests;
-    const std::size_t restart_at =
-        run.restart_at_pct > 0 && run.restart_at_pct < 100
-            ? requests * run.restart_at_pct / 100
-            : requests;
-    std::mutex fleet_mutex;  // guards `children` across kill/restart/autoscale
-
-    // Diurnal wave: open-loop send times along a half-sine peaking at
-    // wave_peak_qps mid-run, floored at 5% of peak so the tail still drains.
-    std::vector<double> send_at;
-    if (run.wave_peak_qps > 0.0) {
-      send_at.resize(requests);
-      constexpr double kPi = 3.14159265358979323846;
-      double t = 0.0;
-      for (std::size_t i = 0; i < requests; ++i) {
-        const double phase =
-            kPi * (static_cast<double>(i) + 0.5) / static_cast<double>(requests);
-        const double rate = run.wave_peak_qps * std::max(0.05, std::sin(phase));
-        t += 1.0 / rate;
-        send_at[i] = t;
-      }
-    }
-
-    const Stopwatch wall;
-
-    // Autoscale controller: sample -> decide -> actuate, the same loop
-    // pglb_router runs, scoped to this in-process fleet.
-    std::unique_ptr<Autoscaler> autoscaler;
-    std::mutex as_mutex;
-    std::condition_variable as_cv;
-    bool as_stop = false;
-    std::thread controller;
-    if (run.autoscale) {
-      AutoscalerOptions as_options = run.autoscaler;
-      as_options.min_replicas = fleet_size;
-      autoscaler = std::make_unique<Autoscaler>(as_options, &router_metrics);
-      controller = std::thread([&] {
-        std::unique_lock<std::mutex> lock(as_mutex);
-        while (!as_stop) {
-          as_cv.wait_for(lock, std::chrono::milliseconds(run.autoscale_ms),
-                         [&] { return as_stop; });
-          if (as_stop) return;
-          lock.unlock();
-          const FleetSample sample =
-              sample_fleet(router->fleet(), router_metrics);
-          const ScaleDecision decision = autoscaler->decide(sample);
-          if (const auto* up = std::get_if<ScaleUp>(&decision)) {
-            std::lock_guard<std::mutex> fleet_lock(fleet_mutex);
-            // Rejoin a drained slot (same port, same keys rendezvous back)
-            // before renting a fresh one on the next port.
-            std::size_t rejoin = children.size();
-            for (std::size_t k = 0; k < children.size(); ++k) {
-              if (children[k].pid < 0 &&
-                  router->fleet().status(k).state == BackendState::kDraining) {
-                rejoin = k;
-                break;
-              }
-            }
-            try {
-              if (rejoin < children.size()) {
-                const std::string tag = "b" + std::to_string(rejoin);
-                children[rejoin] = spawn_serve(
-                    spawn_options, fixed_port(rejoin, children[rejoin].port),
-                    tag);
-                wait_serve_ready(children[rejoin], spawn_options, tag, 30'000);
-                // The respawn may land on a fresh ephemeral port; re-point
-                // the existing backend (same name, same rendezvous keys).
-                tcp_backends[rejoin]->set_port(children[rejoin].port);
-                router->fleet().set_draining(rejoin, false);
-                router->fleet().record_success(rejoin);
-                std::cerr << "loadgen: autoscale: scale-up b" << rejoin
-                          << " (rejoin)\n";
-                if (run.warm_limit > 0) {
-                  WarmingOptions warm_options;
-                  warm_options.per_backend_limit = run.warm_limit;
-                  warm_options.max_prefetch = run.warm_limit;
-                  const WarmReport warm = warm_replica(
-                      router->fleet(), rejoin, warm_options, &router_metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                }
-              } else {
-                const std::string tag = "b" + std::to_string(children.size());
-                children.push_back(spawn_serve(
-                    spawn_options, fixed_port(children.size(), 0), tag));
-                wait_serve_ready(children.back(), spawn_options, tag, 30'000);
-                const std::string name = "b" + std::to_string(children.size() - 1);
-                tcp_backends.push_back(std::make_shared<TcpBackend>(
-                    name, children.back().port, "127.0.0.1", run.wire));
-                router->add_backend(tcp_backends.back(), up->weight);
-                std::cerr << "loadgen: autoscale: scale-up " << name << " ("
-                          << up->spec.name << ")\n";
-                if (run.warm_limit > 0) {
-                  WarmingOptions warm_options;
-                  warm_options.per_backend_limit = run.warm_limit;
-                  warm_options.max_prefetch = run.warm_limit;
-                  const WarmReport warm =
-                      warm_replica(router->fleet(), tcp_backends.size() - 1,
-                                   warm_options, &router_metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                }
-              }
-            } catch (const std::exception& e) {
-              std::cerr << "loadgen: autoscale: scale-up failed: " << e.what()
-                        << "\n";
-            }
-          } else if (const auto* drain = std::get_if<DrainReplica>(&decision)) {
-            std::lock_guard<std::mutex> fleet_lock(fleet_mutex);
-            if (drain->index < children.size() &&
-                children[drain->index].pid > 0) {
-              router->fleet().set_draining(drain->index, true);
-              kill(children[drain->index].pid, SIGTERM);
-              int status = 0;
-              waitpid(children[drain->index].pid, &status, 0);
-              children[drain->index].pid = -1;
-              std::cerr << "loadgen: autoscale: drained " << drain->backend
-                        << "\n";
-            }
-          }
-          lock.lock();
-        }
-      });
-    }
-    std::vector<std::thread> clients;
-    for (int t = 0; t < threads; ++t) {
-      clients.emplace_back([&] {
-        while (true) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= requests) return;
-          if (i == kill_at && fleet_size > 1) {
-            // Default: hard failure, not a drain — SIGKILL mid-connection.
-            // The router sees BackendError, marks b0 down, and fails over.
-            // --kill-mode=term sends SIGTERM instead: the graceful drain,
-            // which lets a --snapshot-dir backend save its warm state.
-            std::lock_guard<std::mutex> lock(fleet_mutex);
-            kill(children[0].pid, run.kill_term ? SIGTERM : SIGKILL);
-            int status = 0;
-            waitpid(children[0].pid, &status, 0);
-            children[0].pid = -1;
-            std::cerr << "loadgen: " << (run.kill_term ? "terminated" : "killed")
-                      << " backend b0 at request " << i << "\n";
-          }
-          if (i == restart_at && fleet_size > 1) {
-            std::lock_guard<std::mutex> lock(fleet_mutex);
-            if (children[0].pid < 0) {
-              children[0] = spawn_serve(spawn_options,
-                                        fixed_port(0, children[0].port), "b0");
-              wait_serve_ready(children[0], spawn_options, "b0", 30'000);
-              // A fresh ephemeral port means the router's b0 must be
-              // re-pointed before its prober can see the replica again.
-              tcp_backends[0]->set_port(children[0].port);
-              report.b0_restarted = true;
-              std::cerr << "loadgen: restarted backend b0 at request " << i << "\n";
-            }
-          }
-          if (!send_at.empty()) {
-            // Open-loop pacing: hold this slot until the wave schedule says
-            // request i arrives.
-            for (;;) {
-              const double remain = send_at[i] - wall.seconds();
-              if (remain <= 0.0) break;
-              std::this_thread::sleep_for(
-                  std::chrono::duration<double>(std::min(remain, 0.005)));
-            }
-          }
-          PlanRequest request = request_for(i % distinct, i);
-          if (run.churn) {
-            // Unique alpha spaced beyond ProxySuite::kCoverageMargin from
-            // every other request's: each is a guaranteed coverage miss, so
-            // the backend generates and profiles a fresh proxy — sustained
-            // planning work no cache can absorb.
-            request.alpha = 3.0 + 2.0 * ProxySuite::kCoverageMargin *
-                                      static_cast<double>(i + 1);
-          }
-          if (timeout_ms > 0) request.timeout_ms = timeout_ms;
-          const std::string line = serialize_request(request);
-          const Stopwatch timer;
-          const std::string response_line = router->route(line);
-          report.latencies_s[i] = timer.seconds();
-          if (run.collect_responses) report.responses[i] = response_line;
-          const PlanResponse response = parse_plan_response(response_line);
-          tally_response(response, response_line, failed, degraded, timeouts,
-                         overloaded, first_error);
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    report.wall_seconds = wall.seconds();
-    report.failed = failed.load();
-    report.degraded = degraded.load();
-    report.timeouts = timeouts.load();
-    report.overloaded = overloaded.load();
-
-    if (autoscaler) {
-      // Convergence: the wave has passed; give the controller time to drain
-      // the extra replicas back to the floor before judging the run.
-      const Stopwatch settle;
-      while (settle.seconds() < 20.0) {
-        if (static_cast<std::size_t>(router_metrics.gauge(
-                "autoscale.replicas")) <= fleet_size) {
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      {
-        std::lock_guard<std::mutex> lock(as_mutex);
-        as_stop = true;
-      }
-      as_cv.notify_all();
-      controller.join();
-      report.autoscaled = true;
-      report.scale_ups = router_metrics.counter("autoscale.scale_ups");
-      report.drains = router_metrics.counter("autoscale.drains");
-      report.final_replicas =
-          static_cast<std::size_t>(router_metrics.gauge("autoscale.replicas"));
-      report.floor_replicas = fleet_size;
-      const JsonValue status = parse_json(autoscaler->status_json());
-      if (const JsonValue* pareto = status.find("pareto")) {
-        if (const JsonValue* frontier = pareto->find("frontier")) {
-          report.frontier_size = frontier->as_array().size();
-        }
-      }
-    }
-
-    // Per-backend routing counts (router side) and cache stats (backend
-    // side, via a metrics request — a restarted backend reports its fresh
-    // cache, which is the honest number).
-    for (std::size_t k = 0; k < children.size(); ++k) {
-      LoadReport::BackendReport backend;
-      backend.name = "b" + std::to_string(k);
-      backend.routed = router_metrics.counter("fleet." + backend.name + ".routed");
-      backend.alive = children[k].pid > 0;
-      if (backend.alive) {
-        try {
-          auto future = router->fleet().backend(k)->submit(
-              R"({"type":"metrics","id":"loadgen-final"})");
-          const JsonValue metrics = parse_json(future.get());
-          if (const JsonValue* cache = metrics.find("cache")) {
-            if (const JsonValue* v = cache->find("hits")) {
-              backend.cache_hits = v->as_number();
-            }
-            if (const JsonValue* v = cache->find("misses")) {
-              backend.cache_misses = v->as_number();
-            }
-          }
-        } catch (const std::exception&) {
-          backend.alive = false;
-        }
-      }
-      report.cache_hits += backend.cache_hits;
-      report.cache_misses += backend.cache_misses;
-      report.backends.push_back(std::move(backend));
-    }
-    const double cache_total = report.cache_hits + report.cache_misses;
-    report.cache_hit_rate = cache_total > 0.0 ? report.cache_hits / cache_total : 0.0;
-    report.route_buckets = router_metrics.stage_buckets("router.route");
-    report.service_counters = router_metrics.counters();
-
-    // The proxy's counters are final once the last response has been
-    // harvested; grab them while the control endpoint is still up.
-    if (chaos.pid > 0) report.chaos_metrics_json = chaos_metrics(chaos.control_port);
-
-    router->stop();
-    // Close the persistent connections BEFORE reaping: a backend blocked in
-    // serve_stream needs the peer to disconnect to reach its drain path.
-    router.reset();
-    // Graceful this time: SIGTERM and reap, the drain contract under test in
-    // the smoke runs.  The chaos proxy goes down LAST so the backends' drain
-    // traffic still flows through it.
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGTERM);
-    }
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-    if (chaos.pid > 0) {
-      kill(chaos.pid, SIGTERM);
-      int status = 0;
-      waitpid(chaos.pid, &status, 0);
-      chaos.pid = -1;
-    }
-    return report;
-  } catch (...) {
-    kill_children();
-    throw;
   }
+
+  const Stopwatch wall;
+  if (run.autoscale) fleet.start_autoscale(run.autoscaler, run.autoscale_ms, run.warm_limit);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < threads; ++t) {
+    clients.emplace_back([&] {
+      while (true) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= requests) return;
+        if (i == kill_at && fleet_size > 1) {
+          // Default: hard failure, not a drain — SIGKILL mid-connection.
+          // The router sees BackendError, marks b0 down, and fails over.
+          // --kill-mode=term sends SIGTERM instead: the graceful drain,
+          // which lets a --snapshot-dir backend save its warm state.
+          fleet.stop_replica(0, run.kill_term ? SIGTERM : SIGKILL);
+          std::cerr << ("loadgen: " +
+                        std::string(run.kill_term ? "terminated" : "killed") +
+                        " backend b0 at request " + std::to_string(i) + "\n");
+        }
+        if (i == restart_at && fleet_size > 1 && fleet.pid(0) < 0) {
+          // Back in the rotation at once: the restart marks b0 up instead
+          // of leaving it to the prober's backoff window.
+          fleet.restart_replica(0);
+          report.b0_restarted = true;
+          std::cerr << ("loadgen: restarted backend b0 at request " +
+                        std::to_string(i) + "\n");
+        }
+        if (!send_at.empty()) {
+          // Open-loop pacing: hold this slot until the wave schedule says
+          // request i arrives.
+          for (;;) {
+            const double remain = send_at[i] - wall.seconds();
+            if (remain <= 0.0) break;
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(std::min(remain, 0.005)));
+          }
+        }
+        PlanRequest request = request_for(i % distinct, i);
+        if (run.churn) {
+          // Unique alpha spaced beyond ProxySuite::kCoverageMargin from
+          // every other request's: each is a guaranteed coverage miss, so
+          // the backend generates and profiles a fresh proxy — sustained
+          // planning work no cache can absorb.
+          request.alpha = 3.0 + 2.0 * ProxySuite::kCoverageMargin *
+                                    static_cast<double>(i + 1);
+        }
+        if (timeout_ms > 0) request.timeout_ms = timeout_ms;
+        const std::string line = serialize_request(request);
+        const Stopwatch timer;
+        const std::string response_line = router.route(line);
+        report.latencies_s[i] = timer.seconds();
+        if (run.collect_responses) report.responses[i] = response_line;
+        const PlanResponse response = parse_plan_response(response_line);
+        tally_response(response, response_line, failed, degraded, timeouts,
+                       overloaded, first_error);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  report.wall_seconds = wall.seconds();
+  report.failed = failed.load();
+  report.degraded = degraded.load();
+  report.timeouts = timeouts.load();
+  report.overloaded = overloaded.load();
+
+  if (run.autoscale) {
+    // Convergence: the wave has passed; give the control loop time to drain
+    // the extra replicas back to the floor before judging the run.
+    const Stopwatch settle;
+    while (settle.seconds() < 20.0) {
+      if (static_cast<std::size_t>(router_metrics.gauge(
+              "autoscale.replicas")) <= fleet_size) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    fleet.stop_autoscale();
+    report.autoscaled = true;
+    report.scale_ups = router_metrics.counter("autoscale.scale_ups");
+    report.drains = router_metrics.counter("autoscale.drains");
+    report.final_replicas =
+        static_cast<std::size_t>(router_metrics.gauge("autoscale.replicas"));
+    report.floor_replicas = fleet_size;
+    const JsonValue status = parse_json(fleet.autoscaler()->status_json());
+    if (const JsonValue* pareto = status.find("pareto")) {
+      if (const JsonValue* frontier = pareto->find("frontier")) {
+        report.frontier_size = frontier->as_array().size();
+      }
+    }
+  }
+
+  // Per-backend routing counts (router side) and cache stats (backend
+  // side, via a metrics request — a restarted backend reports its fresh
+  // cache, which is the honest number).
+  for (std::size_t k = 0; k < fleet.size(); ++k) {
+    LoadReport::BackendReport backend;
+    backend.name = "b" + std::to_string(k);
+    backend.routed = router_metrics.counter("fleet." + backend.name + ".routed");
+    backend.alive = fleet.pid(k) > 0;
+    if (backend.alive) {
+      try {
+        auto future = router.fleet().backend(k)->submit(
+            R"({"type":"metrics","id":"loadgen-final"})");
+        const JsonValue metrics = parse_json(future.get());
+        if (const JsonValue* cache = metrics.find("cache")) {
+          if (const JsonValue* v = cache->find("hits")) {
+            backend.cache_hits = v->as_number();
+          }
+          if (const JsonValue* v = cache->find("misses")) {
+            backend.cache_misses = v->as_number();
+          }
+        }
+      } catch (const std::exception&) {
+        backend.alive = false;
+      }
+    }
+    report.cache_hits += backend.cache_hits;
+    report.cache_misses += backend.cache_misses;
+    report.backends.push_back(std::move(backend));
+  }
+  const double cache_total = report.cache_hits + report.cache_misses;
+  report.cache_hit_rate = cache_total > 0.0 ? report.cache_hits / cache_total : 0.0;
+  report.route_buckets = router_metrics.stage_buckets("router.route");
+  report.service_counters = router_metrics.counters();
+
+  // The proxy's counters are final once the last response has been
+  // harvested; grab them while the control endpoint is still up.
+  if (chaos_control_port != 0) {
+    report.chaos_metrics_json = chaos_metrics(chaos_control_port);
+  }
+  // Graceful this time: SIGTERM and reap, the drain contract under test in
+  // the smoke runs.
+  fleet.shutdown();
+  return report;
 }
 
 /// Fleet-mode mutate driver: spawn K backends, route the stream through the
@@ -1099,84 +895,41 @@ LoadReport run_against_router(SpawnOptions spawn_options, std::size_t requests,
 /// response.  No kill schedule, no hedging: a hedged or failed-over delta
 /// would land on a replica that has never seen the base and fail typed — the
 /// drill wants the deterministic stream, not the failover drill.
-MutateReport run_mutate_router(SpawnOptions spawn_options,
+MutateReport run_mutate_router(const SpawnOptions& spawn_options,
                                std::size_t fleet_size, std::uint16_t base_port,
                                WireMode wire, const MutateOptions& mutate) {
-  if (base_port == 0) {
-    spawn_options.port_dir = make_port_dir();
-    std::cerr << "loadgen: port-dir " << spawn_options.port_dir << "\n";
-  }
-  std::vector<ServeChild> children;
-  const auto kill_children = [&] {
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGKILL);
-    }
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-  };
-  try {
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      const std::uint16_t port =
-          base_port == 0 ? 0 : static_cast<std::uint16_t>(base_port + k);
-      children.push_back(spawn_serve(spawn_options, port, "b" + std::to_string(k)));
-    }
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      wait_serve_ready(children[k], spawn_options, "b" + std::to_string(k),
-                       30'000);
-    }
+  RouterOptions options;
+  options.hedge_delay_ms = 0;  // deltas are stateful; never hedge them
+  options.probe_interval_ms = 100;
+  Registry router_metrics;
+  ReplicaFleet fleet(spawn_options, options, wire, base_port, &router_metrics);
+  std::cerr << ("loadgen: port-dir " + fleet.port_dir() + "\n");
+  fleet.connect(fleet.spawn_replicas(fleet_size));
 
-    RouterOptions options;
-    options.hedge_delay_ms = 0;  // deltas are stateful; never hedge them
-    options.probe_interval_ms = 100;
-    Registry router_metrics;
-    auto router = std::make_unique<Router>(options, &router_metrics);
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      router->add_backend(std::make_shared<TcpBackend>(
-          "b" + std::to_string(k), children[k].port, "127.0.0.1", wire));
-    }
-    router->start();
+  MutateReport report = run_mutate(
+      [&](const std::string& line) { return fleet.router().route(line); }, mutate);
 
-    MutateReport report = run_mutate(
-        [&](const std::string& line) { return router->route(line); }, mutate);
-
-    // Aggregate CCR cells: each backend's service counters carry its own
-    // profile_runs; the stream pinned to one replica but the scratch base may
-    // rendezvous elsewhere, so sum the fleet.
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      try {
-        auto future = router->fleet().backend(k)->submit(
-            R"({"type":"metrics","id":"mutate-final"})");
-        const JsonValue metrics = parse_json(future.get());
-        if (const JsonValue* counters = metrics.find("counters")) {
-          if (const JsonValue* v = counters->find("profile_runs")) {
-            report.profile_cells +=
-                static_cast<std::uint64_t>(v->as_number());
-          }
+  // Aggregate CCR cells: each backend's service counters carry its own
+  // profile_runs; the stream pinned to one replica but the scratch base may
+  // rendezvous elsewhere, so sum the fleet.
+  for (std::size_t k = 0; k < fleet_size; ++k) {
+    try {
+      auto future = fleet.router().fleet().backend(k)->submit(
+          R"({"type":"metrics","id":"mutate-final"})");
+      const JsonValue metrics = parse_json(future.get());
+      if (const JsonValue* counters = metrics.find("counters")) {
+        if (const JsonValue* v = counters->find("profile_runs")) {
+          report.profile_cells +=
+              static_cast<std::uint64_t>(v->as_number());
         }
-      } catch (const std::exception& e) {
-        std::cerr << "loadgen: metrics harvest from b" << k
-                  << " failed: " << e.what() << "\n";
       }
+    } catch (const std::exception& e) {
+      std::cerr << ("loadgen: metrics harvest from b" + std::to_string(k) +
+                    " failed: " + e.what() + "\n");
     }
-
-    router->stop();
-    router.reset();  // disconnect before the graceful reap
-    for (ServeChild& child : children) {
-      if (child.pid > 0) kill(child.pid, SIGTERM);
-    }
-    for (ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) waitpid(child.pid, &status, 0);
-      child.pid = -1;
-    }
-    return report;
-  } catch (...) {
-    kill_children();
-    throw;
   }
+  fleet.shutdown();
+  return report;
 }
 #endif
 
@@ -1198,7 +951,7 @@ int main(int argc, char** argv) {
     const auto hedge_ms = static_cast<std::uint64_t>(cli.get_int("hedge-ms", 0));
 
     RouterRunOptions run;
-    run.wire = wire_mode_from_name(cli.get_string("wire", "auto"));
+    run.wire = wire_mode_from_string(cli.get_string("wire", "auto"));
     run.kill_at_pct = static_cast<std::size_t>(cli.get_int("kill-at", 40));
     run.restart_at_pct = static_cast<std::size_t>(cli.get_int("restart-at", 70));
     const std::string kill_mode = cli.get_string("kill-mode", "kill");
@@ -1265,6 +1018,14 @@ int main(int argc, char** argv) {
       std::cerr << "pglb_loadgen: --chaos and --autoscale are incompatible\n";
       return 2;
     }
+    if (!run.chaos_scenario.empty() && run.restart_at_pct > 0 &&
+        run.restart_at_pct < 100) {
+      // A restarted replica comes back on a fresh port the proxy has no
+      // route to, so its traffic would bypass the chaos layer.
+      std::cerr << "pglb_loadgen: --chaos needs --restart-at outside (0,100): "
+                   "a restarted replica would bypass the chaos proxy\n";
+      return 2;
+    }
 
     PlannerOptions planner_options;
     planner_options.proxy_scale = cli.get_double("scale", 1.0 / 256.0);
@@ -1281,6 +1042,18 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    SpawnOptions spawn_options;  // fleet mode (--router=K)
+    spawn_options.serve_path = server_path;
+    spawn_options.threads = threads;
+    spawn_options.scale = planner_options.proxy_scale;
+    spawn_options.queue = server_options.queue_capacity;
+    spawn_options.snapshot_dir = snapshot_dir;
+    spawn_options.snapshot_interval_ms = snapshot_interval_ms;
+    if (fleet_size > 0 && server_path.empty()) {
+      std::cerr << "pglb_loadgen: --router needs --server=PATH to pglb_serve\n";
+      return 2;
+    }
+
     if (mutate.batches > 0) {
       if (!run.chaos_scenario.empty() || run.autoscale) {
         std::cerr << "pglb_loadgen: --mutate is incompatible with --chaos and "
@@ -1290,18 +1063,6 @@ int main(int argc, char** argv) {
       MutateReport m;
       if (fleet_size > 0) {
 #ifdef __unix__
-        if (server_path.empty()) {
-          std::cerr << "pglb_loadgen: --router needs --server=PATH to "
-                       "pglb_serve\n";
-          return 2;
-        }
-        SpawnOptions spawn_options;
-        spawn_options.serve_path = server_path;
-        spawn_options.threads = threads;
-        spawn_options.scale = planner_options.proxy_scale;
-        spawn_options.queue = server_options.queue_capacity;
-        spawn_options.snapshot_dir = snapshot_dir;
-        spawn_options.snapshot_interval_ms = snapshot_interval_ms;
         m = run_mutate_router(spawn_options, fleet_size, base_port, run.wire,
                               mutate);
 #else
@@ -1357,17 +1118,6 @@ int main(int argc, char** argv) {
     LoadReport report;
     if (fleet_size > 0) {
 #ifdef __unix__
-      if (server_path.empty()) {
-        std::cerr << "pglb_loadgen: --router needs --server=PATH to pglb_serve\n";
-        return 2;
-      }
-      SpawnOptions spawn_options;
-      spawn_options.serve_path = server_path;
-      spawn_options.threads = threads;
-      spawn_options.scale = planner_options.proxy_scale;
-      spawn_options.queue = server_options.queue_capacity;
-      spawn_options.snapshot_dir = snapshot_dir;
-      spawn_options.snapshot_interval_ms = snapshot_interval_ms;
       report = run_against_router(spawn_options, requests, threads, distinct,
                                   timeout_ms, fleet_size, base_port, hedge_ms,
                                   run);

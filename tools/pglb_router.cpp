@@ -21,59 +21,45 @@
 // even with every backend down.
 //
 // SIGINT/SIGTERM: stop reading, answer everything in flight, send the
-// spawned children SIGTERM and reap them, then exit 0 — the same graceful
-// drain contract as pglb_serve.
+// spawned children SIGTERM and reap them, remove the port dir, then exit 0 —
+// the same graceful drain contract as pglb_serve.
 //
 // --autoscale (spawn mode only) runs the closed-loop autoscaler
-// (docs/AUTOSCALE.md): a controller thread samples fleet pressure on a
-// cadence and acts on its decisions — scale-up spawns another pglb_serve on
-// the next port (or rejoins a previously drained slot), drain marks a
-// replica draining, SIGTERMs it, and reaps it.  Rendezvous hashing re-homes
-// only the drained replica's keys.  The metrics response gains an
-// "autoscale" block with the live (cost, p99) Pareto frontier.
+// (docs/AUTOSCALE.md) through the fleet's control loop (fleet/replica_fleet.hpp):
+// it samples fleet pressure on a cadence and acts on its decisions —
+// scale-up spawns another pglb_serve on the next port (or rejoins a
+// previously drained slot), drain marks a replica draining, SIGTERMs it, and
+// reaps it.  Rendezvous hashing re-homes only the drained replica's keys.
+// The metrics response gains an "autoscale" block with the live (cost, p99)
+// Pareto frontier.
 //
 // Durable warm state (docs/PERSIST.md): --snapshot-dir=D hands every spawned
 // child `--snapshot-dir=D/<tag>` (plus --snapshot-interval-ms=N when given),
 // so a replica drained by the autoscaler snapshots its profile cache on the
 // way out and its rejoin restores it warm.  After every scale-up or rejoin
-// the controller also runs a peer-warming pass: it asks the other replicas
+// the control loop also runs a peer-warming pass: it asks the other replicas
 // for their hottest profile keys, keeps the ones rendezvous hashing assigns
 // to the newcomer, and replays up to --warm-limit of them (hottest first) as
 // deadline-guarded plan requests against the newcomer — off the routing hot
 // path.  --warm-limit=0 disables warming.
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "autoscale/autoscaler.hpp"
-#include "fleet/router.hpp"
-#include "fleet/spawn.hpp"
-#include "fleet/tcp_backend.hpp"
-#include "fleet/warming.hpp"
+#include "fleet/replica_fleet.hpp"
 #include "service/protocol.hpp"
 #include "util/cli.hpp"
 #include "util/parse.hpp"
-#include "util/portfile.hpp"
 
 #ifdef __unix__
-#include <arpa/inet.h>
 #include <csignal>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
-
-#include <cstring>
 
 using namespace pglb;
 
@@ -109,13 +95,6 @@ std::vector<std::string> split_csv(const std::string& text) {
     start = comma + 1;
   }
   return tokens;
-}
-
-WireMode wire_mode_from_name(const std::string& name) {
-  if (name == "auto") return WireMode::kAuto;
-  if (name == "line") return WireMode::kLineJson;
-  if (name == "binary") return WireMode::kBinary;
-  throw std::runtime_error("--wire must be auto, line, or binary");
 }
 
 /// Pump stdin->stdout through router.route() on `threads` workers, emitting
@@ -215,22 +194,16 @@ std::size_t pump(Router& router, Registry& metrics, int threads,
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  std::vector<ServeChild> children;
   try {
     const auto spawn = static_cast<std::size_t>(cli.get_int("spawn", 0));
     const std::string backends_csv = cli.get_string("backends", "");
-    const std::string serve_path = cli.get_string("serve", "./pglb_serve");
     // 0 = ephemeral ports published via the port-file handshake (default);
     // nonzero restores the old consecutive fixed range.
     const auto base_port = static_cast<std::uint16_t>(cli.get_int("base-port", 0));
     const int threads = static_cast<int>(cli.get_int("threads", 4));
-    const int backend_threads = static_cast<int>(cli.get_int("backend-threads", 4));
-    const double scale = cli.get_double("scale", 1.0 / 256.0);
-    const auto queue = static_cast<std::size_t>(cli.get_int("queue", 256));
-    const bool shed = cli.get_bool("shed", false);
     const std::string weights_csv = cli.get_string("weights", "");
     const bool metrics_buckets = cli.get_bool("metrics-buckets", true);
-    const WireMode wire_mode = wire_mode_from_name(cli.get_string("wire", "auto"));
+    const WireMode wire_mode = wire_mode_from_string(cli.get_string("wire", "auto"));
     const auto line_backends =
         static_cast<std::size_t>(cli.get_int("line-backends", 0));
 
@@ -252,13 +225,16 @@ int main(int argc, char** argv) {
     const auto autoscale_ms =
         static_cast<std::uint64_t>(cli.get_int("autoscale-ms", 200));
 
-    const std::string snapshot_dir = cli.get_string("snapshot-dir", "");
-    const auto snapshot_interval_ms =
+    SpawnOptions spawn_options;
+    spawn_options.serve_path = cli.get_string("serve", "./pglb_serve");
+    spawn_options.threads = static_cast<int>(cli.get_int("backend-threads", 4));
+    spawn_options.scale = cli.get_double("scale", 1.0 / 256.0);
+    spawn_options.queue = static_cast<std::size_t>(cli.get_int("queue", 256));
+    spawn_options.shed = cli.get_bool("shed", false);
+    spawn_options.snapshot_dir = cli.get_string("snapshot-dir", "");
+    spawn_options.snapshot_interval_ms =
         static_cast<std::uint64_t>(cli.get_int("snapshot-interval-ms", 0));
-    WarmingOptions warm_options;
     const auto warm_limit = static_cast<std::size_t>(cli.get_int("warm-limit", 16));
-    warm_options.per_backend_limit = warm_limit;
-    warm_options.max_prefetch = warm_limit;
 
     RouterOptions options;
     options.default_deadline_ms =
@@ -283,36 +259,8 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    SpawnOptions spawn_options;
-    spawn_options.serve_path = serve_path;
-    spawn_options.threads = backend_threads;
-    spawn_options.scale = scale;
-    spawn_options.queue = queue;
-    spawn_options.shed = shed;
-    spawn_options.snapshot_dir = snapshot_dir;
-    spawn_options.snapshot_interval_ms = snapshot_interval_ms;
-    if (spawn > 0 && base_port == 0) {
-      spawn_options.port_dir = make_port_dir();
-      // The port-dir path is unique per run: liveness checks (smoke tests)
-      // pgrep for it instead of a fixed --listen port pattern.
-      std::cerr << "pglb_router: port-dir " << spawn_options.port_dir << "\n";
-    }
-
     std::vector<std::uint16_t> ports;
-    if (spawn > 0) {
-      for (std::size_t k = 0; k < spawn; ++k) {
-        SpawnOptions child_options = spawn_options;
-        if (k < line_backends) child_options.wire = "line";
-        const auto fixed = static_cast<std::uint16_t>(
-            base_port == 0 ? 0 : base_port + k);
-        children.push_back(
-            spawn_serve(child_options, fixed, "b" + std::to_string(k)));
-      }
-      for (std::size_t k = 0; k < spawn; ++k) {
-        ports.push_back(wait_serve_ready(children[k], spawn_options,
-                                         "b" + std::to_string(k), 30'000));
-      }
-    } else {
+    if (spawn == 0) {
       for (const std::string& token : split_csv(backends_csv)) {
         const auto port = parse_int(token);
         if (!port || *port <= 0 || *port > 65535) {
@@ -322,7 +270,6 @@ int main(int argc, char** argv) {
         ports.push_back(static_cast<std::uint16_t>(*port));
       }
     }
-
     std::vector<double> weights;
     if (!weights_csv.empty()) {
       for (const std::string& token : split_csv(weights_csv)) {
@@ -333,191 +280,37 @@ int main(int argc, char** argv) {
         }
         weights.push_back(*weight);
       }
-      if (weights.size() != ports.size()) {
+      if (weights.size() != (spawn > 0 ? spawn : ports.size())) {
         std::cerr << "pglb_router: --weights needs one value per backend\n";
         return 2;
       }
     }
 
     Registry metrics;
-    auto router = std::make_unique<Router>(options, &metrics);
-    // Kept alongside the router so respawns onto new ephemeral ports can
-    // re-point the existing backend (set_port) without disturbing its fleet
-    // slot or rendezvous keys.
-    std::vector<std::shared_ptr<TcpBackend>> tcp_backends;
-    for (std::size_t i = 0; i < ports.size(); ++i) {
-      tcp_backends.push_back(std::make_shared<TcpBackend>(
-          "b" + std::to_string(i), ports[i], "127.0.0.1", wire_mode));
-      router->add_backend(tcp_backends.back(),
-                          weights.empty() ? 1.0 : weights[i]);
+    // On an exception the fleet's destructor SIGKILLs and reaps its replicas.
+    ReplicaFleet fleet(spawn_options, options, wire_mode, base_port, &metrics);
+    if (spawn > 0) {
+      // The port-dir path is unique per run: liveness checks (smoke tests)
+      // pgrep for it instead of a fixed --listen port pattern.  Printed
+      // before the first fork, whose children share this stderr.
+      std::cerr << ("pglb_router: port-dir " + fleet.port_dir() + "\n");
+      ports = fleet.spawn_replicas(spawn, line_backends);
     }
+    fleet.connect(ports, weights);
     install_stop_handlers();
-    router->start();
     // One write: spawned replicas share this stderr, and a line split across
     // writes can interleave with theirs where scripts grep for it.
     std::cerr << ("pglb_router: fronting " + std::to_string(ports.size()) + " backend(s)\n");
-
-    // --- autoscale controller ------------------------------------------------
-    // Samples fleet pressure on a cadence, asks the (pure) Autoscaler for a
-    // decision, and actuates it with the same spawn / SIGTERM-drain machinery
-    // the rest of this tool uses.  The controller is the only mutator of
-    // `children` while it runs; main touches them again only after join.
-    std::unique_ptr<Autoscaler> autoscaler;
-    std::vector<std::string> replica_specs(ports.size(), "");
-    std::mutex as_mutex;
-    std::condition_variable as_cv;
-    bool as_stop = false;
-    std::thread controller;
-    if (autoscale) {
-      as_options.min_replicas = spawn;  // the floor is what the user spawned
-      autoscaler = std::make_unique<Autoscaler>(as_options, &metrics);
-      controller = std::thread([&] {
-        std::unique_lock<std::mutex> lock(as_mutex);
-        while (!as_stop) {
-          as_cv.wait_for(lock, std::chrono::milliseconds(autoscale_ms),
-                         [&] { return as_stop; });
-          if (as_stop) return;
-          lock.unlock();
-          FleetSample sample = sample_fleet(router->fleet(), metrics);
-          for (std::size_t i = 0;
-               i < sample.backends.size() && i < replica_specs.size(); ++i) {
-            sample.backends[i].spec_name = replica_specs[i];
-          }
-          const ScaleDecision decision = autoscaler->decide(sample);
-          if (const auto* up = std::get_if<ScaleUp>(&decision)) {
-            // Prefer rejoining a drained slot (same port, weight, and spec —
-            // its keys rendezvous straight back); otherwise spawn a fresh
-            // replica on the next port with the policy's chosen spec.
-            std::size_t rejoin = children.size();
-            for (std::size_t i = 0; i < children.size(); ++i) {
-              if (children[i].pid < 0 &&
-                  router->fleet().status(i).state == BackendState::kDraining) {
-                rejoin = i;
-                break;
-              }
-            }
-            try {
-              if (rejoin < children.size()) {
-                const std::string tag = "b" + std::to_string(rejoin);
-                const auto fixed = static_cast<std::uint16_t>(
-                    base_port == 0 ? 0 : children[rejoin].port);
-                children[rejoin] = spawn_serve(spawn_options, fixed, tag);
-                const std::uint16_t port =
-                    wait_serve_ready(children[rejoin], spawn_options, tag, 30'000);
-                // The respawn may land on a brand-new ephemeral port;
-                // re-point the existing backend (same name, same rendezvous
-                // keys) at it.
-                tcp_backends[rejoin]->set_port(port);
-                router->fleet().set_draining(rejoin, false);
-                // wait_serve_ready just proved liveness; clear the failure
-                // backoff the prober accrued against the empty slot.
-                router->fleet().record_success(rejoin);
-                std::cerr << "pglb_router: autoscale: scale-up b" << rejoin
-                          << " (rejoin) on port " << port << "\n";
-                if (warm_limit > 0) {
-                  const WarmReport warm =
-                      warm_replica(router->fleet(), rejoin, warm_options, &metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                  std::cerr << "pglb_router: warming: b" << rejoin << " owned "
-                            << warm.keys_owned << "/" << warm.keys_seen
-                            << " key(s), warmed " << warm.keys_warmed << "\n";
-                }
-              } else {
-                const std::string tag = "b" + std::to_string(children.size());
-                const auto fixed = static_cast<std::uint16_t>(
-                    base_port == 0 ? 0 : base_port + children.size());
-                children.push_back(spawn_serve(spawn_options, fixed, tag));
-                const std::uint16_t port =
-                    wait_serve_ready(children.back(), spawn_options, tag, 30'000);
-                const std::string name = "b" + std::to_string(replica_specs.size());
-                tcp_backends.push_back(std::make_shared<TcpBackend>(
-                    name, port, "127.0.0.1", wire_mode));
-                router->add_backend(tcp_backends.back(), up->weight);
-                replica_specs.push_back(up->spec.name);
-                std::cerr << "pglb_router: autoscale: scale-up " << name << " ("
-                          << up->spec.name << ") on port " << port << "\n";
-                if (warm_limit > 0) {
-                  const std::size_t index = tcp_backends.size() - 1;
-                  const WarmReport warm =
-                      warm_replica(router->fleet(), index, warm_options, &metrics);
-                  autoscaler->record_warming(warm.keys_owned, warm.keys_warmed);
-                  std::cerr << "pglb_router: warming: " << name << " owned "
-                            << warm.keys_owned << "/" << warm.keys_seen
-                            << " key(s), warmed " << warm.keys_warmed << "\n";
-                }
-              }
-            } catch (const std::exception& e) {
-              std::cerr << "pglb_router: autoscale: scale-up failed: "
-                        << e.what() << "\n";
-            }
-          } else if (const auto* drain = std::get_if<DrainReplica>(&decision)) {
-            if (drain->index < children.size() &&
-                children[drain->index].pid > 0) {
-              router->fleet().set_draining(drain->index, true);
-              ::kill(children[drain->index].pid, SIGTERM);
-              int status = 0;
-              ::waitpid(children[drain->index].pid, &status, 0);
-              children[drain->index].pid = -1;
-              std::cerr << "pglb_router: autoscale: drained " << drain->backend
-                        << "\n";
-            }
-          }
-          lock.lock();
-        }
-      });
-    }
-    // Joins the controller on every exit path BEFORE the router (whose
-    // pointer it captured) is destroyed.
-    struct ControllerJoiner {
-      std::thread* thread;
-      std::mutex* mutex;
-      std::condition_variable* cv;
-      bool* stop;
-      ~ControllerJoiner() {
-        if (!thread->joinable()) return;
-        {
-          std::lock_guard<std::mutex> lock(*mutex);
-          *stop = true;
-        }
-        cv->notify_all();
-        thread->join();
-      }
-    } controller_joiner{&controller, &as_mutex, &as_cv, &as_stop};
+    if (autoscale) fleet.start_autoscale(as_options, autoscale_ms, warm_limit);
 
     const std::size_t served =
-        pump(*router, metrics, threads, metrics_buckets, autoscaler.get());
-    {
-      std::lock_guard<std::mutex> lock(as_mutex);
-      as_stop = true;
-    }
-    as_cv.notify_all();
-    if (controller.joinable()) controller.join();
-    router->stop();
-    // Tear the router down BEFORE reaping: destroying the TcpBackends closes
-    // the persistent connections, which is what lets a backend blocked in
-    // serve_stream reach its own drain path.
-    router.reset();
-    std::cerr << "pglb_router: drained after " << served << " request(s)\n";
-
-    // Drained slots carry pid -1: skip them (kill(-1) would signal the whole
-    // process group).
-    for (const ServeChild& child : children) {
-      if (child.pid > 0) ::kill(child.pid, SIGTERM);
-    }
-    for (const ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) ::waitpid(child.pid, &status, 0);
-    }
+        pump(fleet.router(), metrics, threads, metrics_buckets, fleet.autoscaler());
+    fleet.shutdown();
+    std::cerr << ("pglb_router: drained after " + std::to_string(served) +
+                  " request(s)\n");
     return 0;
   } catch (const std::exception& e) {
-    std::cerr << "pglb_router: " << e.what() << "\n";
-    for (const ServeChild& child : children) {
-      if (child.pid > 0) ::kill(child.pid, SIGKILL);
-    }
-    for (const ServeChild& child : children) {
-      int status = 0;
-      if (child.pid > 0) ::waitpid(child.pid, &status, 0);
-    }
+    std::cerr << ("pglb_router: " + std::string(e.what()) + "\n");
     return 1;
   }
 }

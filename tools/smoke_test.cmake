@@ -138,6 +138,7 @@ grep -q 'drained after' rerr.log
 if pgrep -f \"port-file=$PORTDIR\" >/dev/null; then
   echo 'pglb_serve children survived the drain' >&2; exit 1
 fi
+[ ! -e \"$PORTDIR\" ]                          # the drain removed the port dir
 
 # One-shot pipe mode: stdin hits EOF while responses are still in flight, so
 # the drain must wait for dequeued-but-unfinished work (regression: the
@@ -235,6 +236,7 @@ grep -q 'drained after' aserr.log
 if pgrep -f \"port-file=$PORTDIR\" >/dev/null; then
   echo 'pglb_serve replicas survived the drain' >&2; exit 1
 fi
+[ ! -e \"$PORTDIR\" ]                          # the drain removed the port dir
 ")
   execute_process(COMMAND bash ${autoscale_script}
                   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
