@@ -14,15 +14,13 @@ namespace {
 /// Estimator wrapper exposing comm-aware shares to run_flow().
 class CommAwareEstimator final : public CapabilityEstimator {
  public:
-  CommAwareEstimator(const CcrPool& pool, double scale) : pool_(&pool), scale_(scale) {}
+  CommAwareEstimator(const TimeDatabase& pool, double scale) : pool_(&pool), scale_(scale) {}
 
   std::string name() const override { return "comm_aware_ccr"; }
 
   std::vector<double> weights(const Cluster& cluster, AppKind app, const EdgeList& graph,
                               const GraphStats& stats) const override {
-    const auto capabilities =
-        expand_group_values(cluster, group_machines(cluster),
-                            pool_->ccr_for(app, stats.empirical_alpha));
+    const auto capabilities = pool_->ccr_for(cluster, app, stats.empirical_alpha);
     const auto traits = traits_from_stats(stats, scale_);
     const auto hist = total_degree_histogram(graph);
     return comm_aware_shares(cluster, profile_for(app), traits, hist, graph.num_edges(),
@@ -31,7 +29,7 @@ class CommAwareEstimator final : public CapabilityEstimator {
   }
 
  private:
-  const CcrPool* pool_;
+  const TimeDatabase* pool_;
   double scale_;
 };
 
@@ -49,7 +47,8 @@ int main(int argc, char** argv) {
   const Cluster cluster(
       {machine_by_name("xeon_server_s"), machine_by_name("xeon_server_l")});
   ProxySuite suite(scale, seed + 100);
-  const auto pool = profile_cluster(cluster, suite, kAllApps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, kAllApps);
 
   const ProxyCcrEstimator plain(pool);
   const CommAwareEstimator refined(pool, scale);

@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
       {machine_by_name("xeon_server_s"), machine_by_name("xeon_server_l")});
   ProxySuite suite(scale, seed + 100);
   const AppKind apps[] = {AppKind::kPageRank};
-  const auto pool = profile_cluster(cluster, suite, apps);
-  const auto ccr = pool.ccr_for(AppKind::kPageRank, 2.1);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, apps);
+  const auto ccr = pool.ccr_for(cluster, AppKind::kPageRank, 2.1);
 
   const auto graph = make_corpus_graph(corpus_entry("citation"), scale, seed);
   const auto traits = traits_from_stats(compute_stats(graph), scale);

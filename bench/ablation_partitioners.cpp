@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
   const auto graph = make_corpus_graph(corpus_entry(graph_name), scale, seed);
   ProxySuite suite(scale, seed + 100);
   const AppKind apps[] = {AppKind::kPageRank};
-  const auto pool = profile_cluster(cluster, suite, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, apps);
 
   const UniformEstimator uniform;
   const ProxyCcrEstimator ccr(pool);

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
       {machine_by_name("xeon_server_s"), machine_by_name("xeon_server_l")});
   ProxySuite suite(scale, seed + 100);
   const AppKind apps[] = {AppKind::kPageRank};
-  const auto pool = profile_cluster(cluster, suite, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, apps);
 
   Table table({"graph", "uniform (s)", "dynamic (s)", "migrated edges", "prior-work (s)",
                "ccr-guided (s)", "ccr vs dynamic"});
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
         hash.partition(g.graph, uniform_weights(cluster.size()), seed);
     const auto thread_assignment =
         hash.partition(g.graph, thread_count_weights(cluster), seed);
-    const auto ccr = pool.ccr_for(AppKind::kPageRank, 2.1);
+    const auto ccr = pool.ccr_for(cluster, AppKind::kPageRank, 2.1);
     const auto ccr_assignment = hash.partition(g.graph, ccr, seed);
 
     DynamicMigrationOptions frozen;

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
 
   const auto graphs = load_natural_graphs(scale, seed);
   ProxySuite suite(scale, seed + 100);
-  const auto pool = profile_cluster(cluster, suite, kAllApps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, kAllApps);
 
   const ProxyCcrEstimator ccr(pool);
   const ThreadCountEstimator prior;  // == uniform here: equal thread counts

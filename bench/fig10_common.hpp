@@ -12,7 +12,8 @@ inline void run_local_case(const Cluster& cluster, double scale, std::uint64_t s
                            const std::string& trace_out = "") {
   const auto graphs = load_natural_graphs(scale, seed);
   ProxySuite suite(scale, seed + 100);
-  const auto pool = profile_cluster(cluster, suite, kAllApps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, kAllApps);
 
   const UniformEstimator uniform;
   const ThreadCountEstimator prior;

@@ -34,8 +34,8 @@ void BM_ProfilerSuite(benchmark::State& state) {
       {machine_by_name("xeon_server_s"), machine_by_name("xeon_server_l")});
   const ProxySuite suite(kScale, 17, &pool);
   for (auto _ : state) {
-    const CcrPool ccr = profile_cluster(cluster, suite, kApps, &pool);
-    benchmark::DoNotOptimize(ccr.entries().size());
+    TimeDatabase ccr;
+    benchmark::DoNotOptimize(profile_cluster(ccr, cluster, suite, kApps, &pool));
   }
   state.SetLabel(std::to_string(pool.threads()) + " threads");
 }

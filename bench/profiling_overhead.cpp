@@ -27,17 +27,16 @@ int main(int argc, char** argv) {
 
   // One-time cost, in *virtual* seconds: generating proxies is host work (the
   // paper reports 67 s at full size); profiling runs are virtual executions.
-  // profile_cluster fans the (app, proxy, group) cells out over the global
-  // pool; the virtual totals are thread-count-invariant, only the host
+  // profile_cluster fans the (app, proxy, machine type) cells out over the
+  // global pool; the virtual totals are thread-count-invariant, only the host
   // wall-clock shrinks.
   ProxySuite suite(scale, seed + 100);
   const Stopwatch profile_timer;
-  const CcrPool pool = profile_cluster(cluster, suite, kAllApps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, kAllApps);
   const double profiling_wall_seconds = profile_timer.seconds();
   double profiling_virtual_seconds = 0.0;
-  for (const CcrPool::Entry& entry : pool.entries()) {
-    for (const double t : entry.group_times) profiling_virtual_seconds += t;
-  }
+  for (const auto& [key, seconds] : pool.entries()) profiling_virtual_seconds += seconds;
 
   // Per-run payoff: time saved by CCR vs prior work on each (app, graph).
   const ProxyCcrEstimator ccr(pool);

@@ -28,11 +28,12 @@ int main(int argc, char** argv) {
   // Profile SSSP alongside two paper apps to see where it lands.
   ProxySuite proxies(scale);
   const AppKind apps[] = {AppKind::kPageRank, AppKind::kTriangleCount, AppKind::kSssp};
-  const CcrPool pool = profile_cluster(cluster, proxies, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, proxies, apps);
 
   Table ccr_table({"app", "CCR (alpha=2.1 proxy)"});
   for (const AppKind app : apps) {
-    const auto ccr = pool.ccr_for(app, 2.1);
+    const auto ccr = pool.ccr_for(cluster, app, 2.1);
     ccr_table.row().cell(to_string(app)).cell("1 : " + format_double(ccr[1], 2));
   }
   ccr_table.print(std::cout);

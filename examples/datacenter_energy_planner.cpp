@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
     // Re-profile: a changed machine type invalidates its CCR pool entries
     // (Sec. III-B re-profiling rule).
     ProxySuite proxies(scale, seed + 100);
-    const CcrPool pool = profile_cluster(cluster, proxies, apps);
-    const auto ccr_values = pool.ccr_for(app, 2.1);
+    TimeDatabase pool;
+    profile_cluster(pool, cluster, proxies, apps);
+    const auto ccr_values = pool.ccr_for(cluster, app, 2.1);
 
     const UniformEstimator uniform;
     const ThreadCountEstimator threads;

@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
   const EdgeList graph = make_corpus_graph(corpus_entry(graph_name), scale, seed);
   ProxySuite proxies(scale, seed + 100);
   const AppKind apps[] = {app};
-  const CcrPool pool = profile_cluster(cluster, proxies, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, proxies, apps);
 
   const UniformEstimator uniform;
   const ThreadCountEstimator threads;

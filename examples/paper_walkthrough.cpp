@@ -42,12 +42,13 @@ int main(int argc, char** argv) {
   ProxySuite proxies(scale);
   const AppKind apps[] = {AppKind::kPageRank, AppKind::kColoring,
                           AppKind::kConnectedComponents, AppKind::kTriangleCount};
-  const CcrPool pool = profile_cluster(cluster, proxies, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, proxies, apps);
 
   Table ccr_table({"app", "proxy CCR", "real-graph CCR (oracle)", "error"});
   const auto probe = make_corpus_graph(corpus_entry("citation"), scale);
   for (const AppKind app : apps) {
-    const double proxy_ccr = pool.ccr_for(app, 2.1)[1];
+    const double proxy_ccr = pool.ccr_for(cluster, app, 2.1)[1];
     const auto oracle_times = profile_groups_on_graph(cluster, app, probe, scale);
     const double oracle_ccr = oracle_times[0] / oracle_times[1];
     ccr_table.row()

@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
   // 3. One-time offline profiling: every app x every proxy, one machine per
   //    group, no communication interference.
   const AppKind apps[] = {AppKind::kPageRank};
-  const CcrPool pool = profile_cluster(cluster, proxies, apps);
-  const auto ccr = pool.ccr_for(AppKind::kPageRank, /*graph_alpha=*/2.1);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, proxies, apps);
+  const auto ccr = pool.ccr_for(cluster, AppKind::kPageRank, /*graph_alpha=*/2.1);
   std::cout << "profiled PageRank CCR: " << format_double(ccr[0], 2) << " : "
             << format_double(ccr[1], 2) << "\n";
 

@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
   // Counterfactual: CCR-guided ingress under the same interference.
   ProxySuite proxies(scale);
   const AppKind apps[] = {AppKind::kPageRank};
-  const auto pool = profile_cluster(cluster, proxies, apps);
-  const auto ccr = pool.ccr_for(AppKind::kPageRank, 2.1);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, proxies, apps);
+  const auto ccr = pool.ccr_for(cluster, AppKind::kPageRank, 2.1);
   const auto guided_assignment = RandomHashPartitioner{}.partition(graph, ccr, 1);
   const auto guided_dg = build_distributed(graph, guided_assignment);
   const auto counterfactual = run_pagerank(graph, guided_dg, cluster, traits, options);

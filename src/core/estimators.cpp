@@ -23,10 +23,7 @@ std::vector<double> ProxyCcrEstimator::weights(const Cluster& cluster, AppKind a
                                                const GraphStats& stats) const {
   // The <1 ms Eq. 7 fit selects the best-matching proxy's CCR set.
   const double alpha = fit_alpha_clamped(stats.num_vertices, stats.num_edges);
-  const auto group_ccr = pool_->ccr_for(app, alpha);
-  const auto groups = group_machines(cluster);
-  const auto per_machine = expand_group_values(cluster, groups, group_ccr);
-  return shares_from_capabilities(per_machine);
+  return shares_from_capabilities(pool_->ccr_for(cluster, app, alpha));
 }
 
 std::vector<double> OracleEstimator::weights(const Cluster& cluster, AppKind app,

@@ -48,15 +48,16 @@ class ThreadCountEstimator final : public CapabilityEstimator {
 
 class ProxyCcrEstimator final : public CapabilityEstimator {
  public:
-  /// The pool must have been profiled against `cluster`'s machine groups.
-  explicit ProxyCcrEstimator(const CcrPool& pool) : pool_(&pool) {}
+  /// The pool must hold every machine type of the clusters it is asked about
+  /// (profile_cluster fills it).
+  explicit ProxyCcrEstimator(const TimeDatabase& pool) : pool_(&pool) {}
 
   std::string name() const override { return "proxy_ccr"; }
   std::vector<double> weights(const Cluster& cluster, AppKind app, const EdgeList& graph,
                               const GraphStats& stats) const override;
 
  private:
-  const CcrPool* pool_;
+  const TimeDatabase* pool_;
 };
 
 class OracleEstimator final : public CapabilityEstimator {

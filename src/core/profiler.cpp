@@ -1,11 +1,8 @@
 #include "core/profiler.hpp"
 
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "apps/registry.hpp"
-#include "core/ccr.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "partition/random_hash.hpp"
@@ -42,104 +39,50 @@ double profile_single_machine(const MachineSpec& spec, AppKind app,
   return result.report.makespan_seconds;
 }
 
-void CcrPool::insert(Entry entry) {
-  if (entry.group_times.empty()) {
-    throw std::invalid_argument("CcrPool::insert: empty group_times");
-  }
-  if (num_groups_ == 0) {
-    num_groups_ = entry.group_times.size();
-  } else if (entry.group_times.size() != num_groups_) {
-    throw std::invalid_argument("CcrPool::insert: inconsistent group count");
-  }
-  entries_.push_back(std::move(entry));
-}
-
-bool CcrPool::has_app(AppKind app) const noexcept {
-  for (const Entry& e : entries_) {
-    if (e.app == app) return true;
-  }
-  return false;
-}
-
-const CcrPool::Entry* CcrPool::entry_for(AppKind app, double graph_alpha) const noexcept {
-  const Entry* best = nullptr;
-  double best_gap = std::numeric_limits<double>::infinity();
-  for (const Entry& e : entries_) {
-    if (e.app != app) continue;
-    const double gap = std::abs(e.proxy_alpha - graph_alpha);
-    if (gap < best_gap) {
-      best = &e;
-      best_gap = gap;
-    }
-  }
-  return best;
-}
-
-std::vector<double> CcrPool::ccr_for(AppKind app, double graph_alpha) const {
-  const Entry* best = entry_for(app, graph_alpha);
-  if (best == nullptr) {
-    throw std::out_of_range("CcrPool::ccr_for: app '" + std::string(to_string(app)) +
-                            "' not profiled");
-  }
-  return ccr_from_times(best->group_times);
-}
-
-std::vector<double> CcrPool::mean_ccr_for(AppKind app) const {
-  std::vector<double> sum;
-  std::size_t count = 0;
-  for (const Entry& e : entries_) {
-    if (e.app != app) continue;
-    const auto ccr = ccr_from_times(e.group_times);
-    if (sum.empty()) sum.assign(ccr.size(), 0.0);
-    for (std::size_t g = 0; g < ccr.size(); ++g) sum[g] += ccr[g];
-    ++count;
-  }
-  if (count == 0) {
-    throw std::out_of_range("CcrPool::mean_ccr_for: app not profiled");
-  }
-  for (double& s : sum) s /= static_cast<double>(count);
-  return sum;
-}
-
-CcrPool profile_cluster(const Cluster& cluster, const ProxySuite& suite,
-                        std::span<const AppKind> apps, ThreadPool* thread_pool,
-                        const CancelToken* cancel) {
+std::size_t profile_cluster(TimeDatabase& pool, const Cluster& cluster,
+                            const ProxySuite& suite, std::span<const AppKind> apps,
+                            ThreadPool* thread_pool, const CancelToken* cancel) {
   PGLB_TRACE_SPAN("profile.cluster", "profiler");
   const auto groups = group_machines(cluster);
-  const auto proxies = suite.proxies();
-
-  // Flatten the (app, proxy, group) fan-out: every cell is an independent
-  // single-machine virtual execution writing its own slot.  A CancelledError
-  // (or injected fault) from any cell is rethrown by the fan-out.
-  const std::size_t cells = apps.size() * proxies.size() * groups.size();
-  std::vector<double> times(cells, 0.0);
-  parallel_for(pool_or_global(thread_pool), cells, 1,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t cell = begin; cell < end; ++cell) {
-                   const std::size_t g = cell % groups.size();
-                   const std::size_t p = (cell / groups.size()) % proxies.size();
-                   const std::size_t a = cell / (groups.size() * proxies.size());
-                   times[cell] = profile_single_machine(groups[g].representative, apps[a],
-                                                        proxies[p].graph, suite.scale(),
-                                                        cancel);
-                 }
-               });
-
-  // Assemble in the serial iteration order (app-major, then proxy).
-  CcrPool pool;
-  std::size_t cell = 0;
-  for (const AppKind app : apps) {
-    for (const ProxySuite::Proxy& proxy : proxies) {
-      CcrPool::Entry entry;
-      entry.app = app;
-      entry.proxy_alpha = proxy.alpha;
-      entry.group_times.assign(times.begin() + static_cast<std::ptrdiff_t>(cell),
-                               times.begin() + static_cast<std::ptrdiff_t>(cell + groups.size()));
-      cell += groups.size();
-      pool.insert(std::move(entry));
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t h = 0; h < g; ++h) {
+      if (groups[h].representative.name == groups[g].representative.name) {
+        throw std::invalid_argument("profile_cluster: two different machine specs share "
+                                    "the name '" + groups[g].representative.name + "'");
+      }
     }
   }
-  return pool;
+
+  // Collect the cells the pool lacks.  Every cell is an independent
+  // single-machine virtual execution writing its own slot; a CancelledError
+  // (or injected fault) from any cell is rethrown by the fan-out before
+  // anything is recorded.
+  struct Cell {
+    TimeDatabase::Key key;
+    const MachineSpec* machine;
+    const EdgeList* graph;
+  };
+  std::vector<Cell> cells;
+  for (const AppKind app : apps) {
+    for (const ProxySuite::Proxy& proxy : suite.proxies()) {
+      for (const MachineGroup& group : groups) {
+        TimeDatabase::Key key{app, proxy.alpha, group.representative.name};
+        if (!pool.lookup(key)) {
+          cells.push_back({std::move(key), &group.representative, &proxy.graph});
+        }
+      }
+    }
+  }
+  std::vector<double> times(cells.size(), 0.0);
+  parallel_for(pool_or_global(thread_pool), cells.size(), 1,
+               [&](std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   times[i] = profile_single_machine(*cells[i].machine, cells[i].key.app,
+                                                     *cells[i].graph, suite.scale(), cancel);
+                 }
+               });
+  for (std::size_t i = 0; i < cells.size(); ++i) pool.record(cells[i].key, times[i]);
+  return cells.size();
 }
 
 std::vector<double> profile_groups_on_graph(const Cluster& cluster, AppKind app,

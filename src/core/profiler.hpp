@@ -1,15 +1,17 @@
 #pragma once
 // Offline profiling (Sec. III-B, Fig. 7a): run each application on each
-// synthetic proxy on ONE representative machine per group — individually, so
-// no communication interferes — and collect the runtimes into the CCR pool.
-// Profiling is a one-time cost per (application, machine type); the pool is
-// reused across every future input graph.
+// synthetic proxy on ONE machine per type — individually, so no
+// communication interferes — and record the runtimes in the TimeDatabase,
+// the one CCR pool.  Profiling is a one-time cost per (application, machine
+// type); the pool is reused across every future input graph and cluster
+// composition.
 
 #include <span>
 #include <vector>
 
 #include "cluster/groups.hpp"
 #include "core/proxy_suite.hpp"
+#include "core/time_database.hpp"
 #include "machine/app_profile.hpp"
 #include "util/deadline.hpp"
 
@@ -36,51 +38,21 @@ double profile_single_machine(const MachineSpec& spec, AppKind app,
                               const EdgeList& graph, double scale,
                               const CancelToken* cancel = nullptr);
 
-/// The CCR pool (Fig. 7a right): per application and proxy distribution, the
-/// profiled per-group runtimes; queried by the flow with the input graph's
-/// fitted alpha.
-class CcrPool {
- public:
-  struct Entry {
-    AppKind app = AppKind::kPageRank;
-    double proxy_alpha = 0.0;
-    std::vector<double> group_times;  ///< one per machine group
-  };
-
-  void insert(Entry entry);
-
-  bool has_app(AppKind app) const noexcept;
-  std::span<const Entry> entries() const noexcept { return entries_; }
-  std::size_t num_groups() const noexcept { return num_groups_; }
-
-  /// Pool entry for `app` whose proxy alpha is nearest to `graph_alpha`, or
-  /// nullptr if the app was never profiled.  Exposes which proxy a lookup
-  /// resolves to — the stable identity callers can cache against.
-  const Entry* entry_for(AppKind app, double graph_alpha) const noexcept;
-
-  /// CCR vector (Eq. 1, one per group) for `app`, using the pool entry whose
-  /// proxy alpha is nearest to `graph_alpha`.  Throws std::out_of_range if
-  /// the app was never profiled.
-  std::vector<double> ccr_for(AppKind app, double graph_alpha) const;
-
-  /// Average the per-proxy CCRs for `app` (used when no alpha is known).
-  std::vector<double> mean_ccr_for(AppKind app) const;
-
- private:
-  std::vector<Entry> entries_;
-  std::size_t num_groups_ = 0;
-};
-
-/// Run the full profiling pass: every app x every proxy x one machine per
-/// group.  Each (app, proxy, group) cell is an independent virtual execution,
-/// so cells fan out over `pool` (nullptr = the global pool); results land in
-/// per-cell slots and are assembled in the serial iteration order, so the
-/// pool is bit-identical at any thread count.
-/// `cancel` is polled per cell; a fired token aborts the remaining cells and
-/// rethrows CancelledError from the fan-out.
-CcrPool profile_cluster(const Cluster& cluster, const ProxySuite& suite,
-                        std::span<const AppKind> apps, ThreadPool* pool = nullptr,
-                        const CancelToken* cancel = nullptr);
+/// Fill `pool` for `cluster` (Sec. III-B, Fig. 7a right): every app x every
+/// proxy x every machine type of the cluster, skipping the cells `pool`
+/// already holds, so a second pass, or a composition change among known
+/// types, costs nothing and only new machine types are profiled.  Returns the
+/// number of cells run.  The missing cells fan out over `thread_pool`
+/// (nullptr = the global pool) into per-cell slots and are recorded after the
+/// fan-out, so the pool is bit-identical at any thread count.  `cancel` is
+/// polled per cell; a fired token (or an injected fault) aborts the pass
+/// before anything is recorded.  Throws std::invalid_argument, before
+/// profiling, when two different specs in `cluster` share a name: the pool
+/// keys on the name, so one would silently overwrite the other.
+std::size_t profile_cluster(TimeDatabase& pool, const Cluster& cluster,
+                            const ProxySuite& suite, std::span<const AppKind> apps,
+                            ThreadPool* thread_pool = nullptr,
+                            const CancelToken* cancel = nullptr);
 
 /// Profile using an arbitrary graph instead of the proxies (the "real graph"
 /// CCR of Fig. 8, and the oracle estimator).  Returns per-group times.

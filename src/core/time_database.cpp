@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cluster/groups.hpp"
 #include "core/ccr.hpp"
 #include "util/parse.hpp"
 
@@ -21,20 +20,14 @@ std::string canonical_alpha(double alpha) {
   return buffer;
 }
 
-std::string TimeDatabase::Key::stable_string() const {
-  return std::string(to_string(app)) + "|" + canonical_alpha(proxy_alpha) + "|" + machine;
-}
-
 void TimeDatabase::record(const Key& key, double seconds) {
+  if (!std::isfinite(key.proxy_alpha)) {
+    throw std::invalid_argument("TimeDatabase::record: alpha must be finite");
+  }
   if (!(seconds > 0.0) || !std::isfinite(seconds)) {
     throw std::invalid_argument("TimeDatabase::record: time must be positive");
   }
   times_[key] = seconds;
-}
-
-void TimeDatabase::merge(const TimeDatabase& other) {
-  // map::insert never overwrites: present (live) entries win over `other`.
-  times_.insert(other.times_.begin(), other.times_.end());
 }
 
 std::optional<double> TimeDatabase::lookup(const Key& key) const {
@@ -54,18 +47,6 @@ std::vector<double> TimeDatabase::alphas_for(AppKind app) const {
   std::sort(alphas.begin(), alphas.end());
   alphas.erase(std::unique(alphas.begin(), alphas.end()), alphas.end());
   return alphas;
-}
-
-std::vector<MachineSpec> TimeDatabase::missing_machines(const Cluster& cluster,
-                                                        AppKind app,
-                                                        double proxy_alpha) const {
-  std::vector<MachineSpec> missing;
-  for (const MachineGroup& group : group_machines(cluster)) {
-    if (!has_machine(app, proxy_alpha, group.representative.name)) {
-      missing.push_back(group.representative);
-    }
-  }
-  return missing;
 }
 
 std::optional<double> TimeDatabase::nearest_alpha(AppKind app, double graph_alpha) const {
@@ -143,12 +124,16 @@ TimeDatabase load_time_database(const std::string& path) {
       fields.push_back(view.substr(start, stop - start));
       i = stop == std::string_view::npos ? view.size() : stop;
     }
+    // from_chars also accepts "nan" and "inf": a row must carry a finite
+    // alpha and a finite, positive time, or it is a parse error here rather
+    // than an unnumbered throw from record().
     std::optional<double> alpha, seconds;
     if (fields.size() == 4) {
       alpha = parse_double(fields[1]);
       seconds = parse_double(fields[3]);
     }
-    if (!alpha || !seconds) {
+    if (!alpha || !seconds || !std::isfinite(*alpha) || !std::isfinite(*seconds) ||
+        !(*seconds > 0.0)) {
       throw std::runtime_error("load_time_database: parse error at line " +
                                std::to_string(line_no) + " of " + path);
     }

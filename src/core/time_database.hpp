@@ -1,13 +1,14 @@
 #pragma once
-// Machine-type-keyed profiling database — the durable form of the CCR pool.
+// Machine-type-keyed profiling database: the one CCR pool.
 //
 // Section III-B observes that single-machine proxy runtimes are a property of
 // the (application, proxy, machine type) triple, independent of cluster
 // composition: "varying the cluster composition among existing machines does
 // not require CCR updates".  Storing raw times per machine type (rather than
 // per-cluster CCR vectors) makes that literal: CCRs for ANY cluster drawn
-// from profiled types are derived on demand, and only genuinely new machine
-// types ever need profiling.
+// from profiled types are derived on demand, and profile_cluster()
+// (core/profiler.hpp) profiles only the cells that are missing, i.e. only
+// genuinely new machine types.  `pglb profile` persists it as TSV.
 
 #include <map>
 #include <optional>
@@ -32,19 +33,14 @@ class TimeDatabase {
     std::string machine;  ///< MachineSpec::name
 
     auto operator<=>(const Key&) const = default;
-
-    /// Canonical "app|alpha|machine" form — a stable string identity usable
-    /// as a cache key across processes (alpha via canonical_alpha()).
-    std::string stable_string() const;
   };
 
+  /// Store (or overwrite) one runtime.  Throws std::invalid_argument for a
+  /// non-finite alpha (a NaN key would break the map's ordering) or a time
+  /// that is not finite and positive.
   void record(const Key& key, double seconds);
 
   std::optional<double> lookup(const Key& key) const;
-
-  bool has_machine(AppKind app, double proxy_alpha, const std::string& machine) const {
-    return lookup({app, proxy_alpha, machine}).has_value();
-  }
 
   /// Proxy alphas present for an app (sorted ascending).
   std::vector<double> alphas_for(AppKind app) const;
@@ -53,22 +49,11 @@ class TimeDatabase {
   /// or nullopt when the app was never profiled.
   std::optional<double> nearest_alpha(AppKind app, double graph_alpha) const;
 
-  /// Machine types for which *no* entry exists for (app, alpha) — the only
-  /// ones an online refresh needs to profile.
-  std::vector<MachineSpec> missing_machines(const Cluster& cluster, AppKind app,
-                                            double proxy_alpha) const;
-
   /// Per-machine CCR vector (Eq. 1) for a cluster, using the stored times of
   /// the nearest profiled alpha.  Throws std::out_of_range when a machine
   /// type or the app has never been profiled.
   std::vector<double> ccr_for(const Cluster& cluster, AppKind app,
                               double graph_alpha) const;
-
-  /// Absorb entries of `other` for keys not already present — the
-  /// snapshot-restore hook (docs/PERSIST.md): a reloaded pool merges UNDER
-  /// live entries, so a fresher in-memory time never regresses to its
-  /// persisted predecessor.
-  void merge(const TimeDatabase& other);
 
   std::size_t size() const noexcept { return times_.size(); }
   const std::map<Key, double>& entries() const noexcept { return times_; }
@@ -78,7 +63,9 @@ class TimeDatabase {
 };
 
 /// TSV persistence: "app \t alpha \t machine \t seconds" per line with a
-/// versioned header.  Throws std::runtime_error on IO/parse errors.
+/// versioned header.  Throws std::runtime_error on IO/parse errors; a row
+/// whose alpha is not finite, or whose seconds are not finite and positive,
+/// is a parse error that names its line.
 void save_time_database(const TimeDatabase& db, const std::string& path);
 TimeDatabase load_time_database(const std::string& path);
 

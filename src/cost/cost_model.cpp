@@ -15,14 +15,14 @@ std::vector<CostPoint> cost_efficiency(std::span<const MachineSpec> machines,
     throw std::invalid_argument("cost_efficiency: machines and apps must be non-empty");
   }
   const ProxySuite::Proxy& proxy = suite.nearest(alpha);
+  const Cluster cluster{std::vector<MachineSpec>(machines.begin(), machines.end())};
+  const auto groups = group_machines(cluster);
 
   std::vector<CostPoint> points;
   points.reserve(machines.size() * apps.size());
   for (const AppKind app : apps) {
-    std::vector<double> runtimes(machines.size());
-    for (std::size_t j = 0; j < machines.size(); ++j) {
-      runtimes[j] = profile_single_machine(machines[j], app, proxy.graph, suite.scale());
-    }
+    const auto runtimes = expand_group_values(
+        cluster, groups, profile_groups_on_graph(cluster, app, proxy.graph, suite.scale()));
     double baseline_time = 0.0;
     for (std::size_t j = 0; j < machines.size(); ++j) {
       if (machines[j].name == baseline) baseline_time = runtimes[j];

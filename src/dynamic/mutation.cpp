@@ -201,10 +201,12 @@ void LiveGraph::compact(std::vector<MachineId>* owners) {
   }
   std::vector<Edge> survivors;
   std::vector<MachineId> surviving_owners;
+  std::vector<std::size_t> new_slot(slots_.size(), 0);  // old live slot -> survivor slot
   survivors.reserve(live_edges_);
   if (owners != nullptr) surviving_owners.reserve(live_edges_);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (dead_[i] != 0) continue;
+    new_slot[i] = survivors.size();
     survivors.push_back(slots_[i]);
     if (owners != nullptr) surviving_owners.push_back((*owners)[i]);
   }
@@ -213,9 +215,12 @@ void LiveGraph::compact(std::vector<MachineId>* owners) {
   if (owners != nullptr) *owners = std::move(surviving_owners);
   num_vertices_ = any_alive ? max_alive + 1 : 0;
   alive_.resize(num_vertices_);
-  live_index_.clear();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    live_index_[pair_key(slots_[i].src, slots_[i].dst)].push_back(i);
+  // The index holds exactly the live slots, each key's in slot order, and
+  // the renumbering keeps that order: remap in place rather than rebuild it
+  // node by node — a rebuild is one heap allocation per live edge, which
+  // stalls every other thread allocating from the same malloc arena.
+  for (auto& [key, slots] : live_index_) {
+    for (std::size_t& slot : slots) slot = new_slot[slot];
   }
   live_edges_ = slots_.size();
 }

@@ -50,6 +50,9 @@ inline constexpr std::uint32_t kMaxSectionPayload = 64u << 20;
 /// Known section types.  Unknown values are CRC-validated and skipped.
 enum class SectionType : std::uint32_t {
   kProfileCache = 1,
+  /// Older builds wrote a copy of the profiled times here.  Nothing reads it:
+  /// the container CRC-checks and skips it like any unknown type.  The value
+  /// stays reserved so it is never reused.
   kTimeDatabase = 2,
   kDynamicState = 3,  ///< delta-planner base registry (docs/DYNAMIC.md)
   kEnd = 0xFFFFFFFFu,  ///< empty terminator; required, so truncation is loud

@@ -105,38 +105,6 @@ std::vector<RestoredCacheEntry> decode_profile_cache_section(
   return out;
 }
 
-std::string encode_time_database_section(const TimeDatabase& db) {
-  std::string out;
-  append_u32(out, static_cast<std::uint32_t>(db.entries().size()));
-  for (const auto& [key, seconds] : db.entries()) {
-    append_string(out, to_string(key.app));
-    append_f64(out, key.proxy_alpha);
-    append_string(out, key.machine);
-    append_f64(out, seconds);
-  }
-  return out;
-}
-
-TimeDatabase decode_time_database_section(std::string_view payload) {
-  Cursor cursor(payload);
-  const std::uint32_t count = cursor.read_u32();
-  TimeDatabase db;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string app_name = cursor.read_string();
-    const double alpha = cursor.read_f64();
-    const std::string machine = cursor.read_string();
-    const double seconds = cursor.read_f64();
-    const auto app = try_app_from_name(app_name);
-    require(app.has_value(), "time database names an unknown app");
-    require(std::isfinite(alpha), "time database alpha invalid");
-    require(!machine.empty(), "time database machine name empty");
-    require(positive_finite(seconds), "time database time invalid");
-    db.record({*app, alpha, machine}, seconds);
-  }
-  require(cursor.done(), "time database section has trailing bytes");
-  return db;
-}
-
 std::string warm_snapshot_path(const std::string& dir) {
   return dir + "/warm.snap";
 }
@@ -148,11 +116,9 @@ SnapshotIoResult save_warm_snapshot(const Planner& planner, const std::string& d
   const std::string path = warm_snapshot_path(dir);
   try {
     const std::vector<ProfileCache::ExportedEntry> entries = planner.export_cache();
-    const TimeDatabase db = planner.time_database();
     SnapshotWriter writer(read_snapshot_generation(path).value_or(0) + 1);
     writer.add_section(SectionType::kProfileCache,
                        encode_profile_cache_section(entries));
-    writer.add_section(SectionType::kTimeDatabase, encode_time_database_section(db));
     if (delta != nullptr && delta->base_count() > 0) {
       writer.add_section(SectionType::kDynamicState, delta->encode_state());
       result.dynamic_bases = delta->base_count();
@@ -162,7 +128,6 @@ SnapshotIoResult save_warm_snapshot(const Planner& planner, const std::string& d
     result.ok = true;
     result.generation = writer.generation();
     result.cache_entries = entries.size();
-    result.time_entries = db.size();
     count_into(service_registry, "persist.snapshots_written");
     count_into(service_registry, "persist.snapshot_bytes_written", result.bytes);
   } catch (const std::exception& e) {
@@ -194,10 +159,6 @@ SnapshotIoResult load_warm_snapshot(Planner& planner, const std::string& dir,
     if (const SnapshotSection* section = reader.section(SectionType::kProfileCache)) {
       restored = decode_profile_cache_section(section->payload);
     }
-    TimeDatabase db;
-    if (const SnapshotSection* section = reader.section(SectionType::kTimeDatabase)) {
-      db = decode_time_database_section(section->payload);
-    }
     // The dynamic section restores first: restore_state validates every base
     // before any reaches its registry, so a defective section throws here —
     // before the planner is touched — and the whole load stays a clean
@@ -218,11 +179,9 @@ SnapshotIoResult load_warm_snapshot(Planner& planner, const std::string& dir,
         ++result.cache_entries;
       }
     }
-    planner.merge_time_database(db);
     result.ok = true;
     result.generation = reader.generation();
     result.bytes = bytes.size();
-    result.time_entries = db.size();
     count_into(service_registry, "persist.snapshots_loaded");
     count_into(service_registry, "persist.snapshot_bytes_loaded", result.bytes);
     count_into(service_registry, "persist.keys_restored", result.cache_entries);

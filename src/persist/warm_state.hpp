@@ -9,13 +9,12 @@
 //    order.  An entry restores to EXACTLY the inputs the deterministic
 //    planner arithmetic consumes, so a plan served from a restored entry is
 //    byte-identical to one served from a fresh profile.
-//  - kTimeDatabase: the planner's durable CCR pool (app, proxy alpha,
-//    machine class) -> seconds — the paper's Sec. III-B artifact, merged
-//    UNDER live entries on restore.
 //  - kDynamicState (optional): the delta planner's base registry — live
 //    graphs, maintained assignments, scorer state, drift — so a restarted
 //    replica resumes its delta streams without re-ingesting history
 //    (docs/DYNAMIC.md).  Old binaries CRC-check and skip this section.
+// A kTimeDatabase section written by older builds is CRC-checked and skipped
+// like any unknown type: its times are already inside the cache entries.
 //
 // Load policy (the Distributed-CC save/load_checkpoint shape): a missing
 // file is a quiet cold start; a corrupt, truncated, or future-version file
@@ -30,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/time_database.hpp"
 #include "persist/snapshot.hpp"
 #include "service/profile_cache.hpp"
 
@@ -60,12 +58,6 @@ std::string encode_profile_cache_section(
 std::vector<RestoredCacheEntry> decode_profile_cache_section(
     std::string_view payload);
 
-std::string encode_time_database_section(const TimeDatabase& db);
-
-/// Decode + validate a kTimeDatabase payload.  Throws SnapshotError on
-/// unknown app names or non-positive times.
-TimeDatabase decode_time_database_section(std::string_view payload);
-
 /// Where a replica's snapshot lives inside its --snapshot-dir.
 std::string warm_snapshot_path(const std::string& dir);
 
@@ -79,7 +71,6 @@ struct SnapshotIoResult {
   std::uint64_t generation = 0;
   std::size_t bytes = 0;
   std::size_t cache_entries = 0;
-  std::size_t time_entries = 0;
   std::size_t dynamic_bases = 0;
   std::string error;
 };
@@ -97,10 +88,10 @@ SnapshotIoResult save_warm_snapshot(const Planner& planner, const std::string& d
                                     const dynamic::DeltaPlanner* delta = nullptr);
 
 /// Restore `<dir>/warm.snap` into the planner: cache entries re-inserted in
-/// recency order (stopping, without error, at capacity), time database
-/// merged under live entries.  Counts persist.snapshots_loaded /
-/// persist.snapshot_bytes_loaded / persist.keys_restored on success and
-/// persist.snapshot_rejected on a corrupt file.  Never throws.
+/// recency order (stopping, without error, at capacity).  Counts
+/// persist.snapshots_loaded / persist.snapshot_bytes_loaded /
+/// persist.keys_restored on success and persist.snapshot_rejected on a
+/// corrupt file.  Never throws.
 /// When `delta` is given and the file carries a kDynamicState section, the
 /// base registry is restored through DeltaPlanner::restore_state (live bases
 /// win over snapshot ones; a defective section rejects the WHOLE load, same

@@ -10,7 +10,6 @@
 #include "core/time_database.hpp"
 #include "cost/cost_model.hpp"
 #include "gen/alpha_solver.hpp"
-#include "machine/catalog.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "partition/replication_model.hpp"
@@ -114,28 +113,14 @@ ProfileCache::EntryPtr Planner::profile(const std::vector<std::string>& classes,
     entry->proxy_full_vertices =
         static_cast<double>(proxy_stats.num_vertices) / options_.proxy_scale;
     entry->proxy_total_degree = total_degree_histogram(proxy_graph);
-    // Each class profile is an independent single-machine virtual run; fan
-    // out over the planner's pool into per-class slots, then emplace in class
-    // order so the entry is byte-stable at any thread count.
-    std::vector<double> class_seconds(classes.size(), 0.0);
-    parallel_for(thread_pool(), classes.size(), 1,
-                 [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     class_seconds[i] = profile_single_machine(
-                         machine_by_name(classes[i]), app, proxy_graph,
-                         options_.proxy_scale, cancel);
-                   }
-                 });
+    // Distinct class names are distinct specs, so each class is its own
+    // machine group, in class order: the fan-out over the planner's pool
+    // fills per-class slots and the entry is byte-stable at any thread count.
+    const std::vector<double> class_seconds =
+        profile_groups_on_graph(cluster_from_names(classes), app, proxy_graph,
+                                options_.proxy_scale, &thread_pool(), cancel);
     for (std::size_t i = 0; i < classes.size(); ++i) {
       entry->class_times.emplace_back(classes[i], class_seconds[i]);
-    }
-    // Mirror the fresh measurements into the durable CCR pool (the time
-    // database a warm-state snapshot carries, docs/PERSIST.md).
-    {
-      std::lock_guard<std::mutex> lock(time_db_mutex_);
-      for (std::size_t i = 0; i < classes.size(); ++i) {
-        time_db_.record({app, proxy_alpha, classes[i]}, class_seconds[i]);
-      }
     }
     if (metrics_ != nullptr) {
       metrics_->count("profile_runs", classes.size());
@@ -155,16 +140,6 @@ bool Planner::invalidate_profile(const std::string& key) {
     global_registry().count("cache.invalidations");
   }
   return removed;
-}
-
-TimeDatabase Planner::time_database() const {
-  std::lock_guard<std::mutex> lock(time_db_mutex_);
-  return time_db_;
-}
-
-void Planner::merge_time_database(const TimeDatabase& restored) {
-  std::lock_guard<std::mutex> lock(time_db_mutex_);
-  time_db_.merge(restored);
 }
 
 PlanResponse Planner::degraded_plan(const PlanRequest& request,

@@ -18,7 +18,6 @@
 #include <unordered_map>
 
 #include "core/proxy_suite.hpp"
-#include "core/time_database.hpp"
 #include "service/metrics.hpp"
 #include "service/profile_cache.hpp"
 #include "service/protocol.hpp"
@@ -103,14 +102,6 @@ class Planner {
     return cache_.hot_keys(limit);
   }
 
-  /// Copy of the planner's time database — every profiled (app, proxy alpha,
-  /// machine class) runtime observed by this process, the durable CCR pool
-  /// the snapshot carries alongside the cache.
-  TimeDatabase time_database() const;
-
-  /// Merge a restored time database under live entries (TimeDatabase::merge).
-  void merge_time_database(const TimeDatabase& restored);
-
   /// The pool this planner fans work out on (its own, or the global one).
   /// Shared with every pipeline stage the planner drives.
   ThreadPool& thread_pool() noexcept { return pool_or_global(owned_pool_.get()); }
@@ -147,9 +138,6 @@ class Planner {
 
   std::mutex alpha_mutex_;  ///< guards alpha_memo_
   std::unordered_map<std::string, double> alpha_memo_;
-
-  mutable std::mutex time_db_mutex_;  ///< guards time_db_
-  TimeDatabase time_db_;
 
   ProfileCache cache_;
 };

@@ -134,6 +134,34 @@ TEST(LiveGraph, CompactPreservesSurvivorOrderAndOwners) {
   for (std::size_t i = 0; i < g.slot_count(); ++i) EXPECT_FALSE(g.dead(i));
 }
 
+TEST(LiveGraph, CompactRenumbersTheEdgeIndex) {
+  LiveGraph g;
+  g.apply(std::vector<Mutation>{
+      Mutation::add_vertex(0), Mutation::add_vertex(1), Mutation::add_vertex(2),
+      Mutation::add_vertex(3), Mutation::add_edge(0, 1), Mutation::add_edge(1, 2),
+      Mutation::add_edge(0, 1), Mutation::add_edge(2, 3), Mutation::add_edge(3, 0)});
+  g.apply(std::vector<Mutation>{Mutation::remove_edge(1, 2)});
+  g.compact();
+  ASSERT_EQ(g.slot_count(), 4u);  // (0,1) (0,1) (2,3) (3,0)
+
+  // The removed pair is gone from the index; a duplicate pair resolves to
+  // its first live match under the new slot numbers.
+  EXPECT_THROW(g.apply(std::vector<Mutation>{Mutation::remove_edge(1, 2)}), MutationError);
+  auto removed = g.apply(std::vector<Mutation>{Mutation::remove_edge(0, 1)}).removed_slots;
+  EXPECT_EQ(removed, (std::vector<std::size_t>{0}));
+  removed = g.apply(std::vector<Mutation>{Mutation::remove_edge(0, 1)}).removed_slots;
+  EXPECT_EQ(removed, (std::vector<std::size_t>{1}));
+  removed = g.apply(std::vector<Mutation>{Mutation::remove_vertex(3)}).removed_slots;
+  EXPECT_EQ(removed, (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(g.live_edge_count(), 0u);
+
+  // New slots append after the survivors and index like any other.
+  const auto added = g.apply(std::vector<Mutation>{Mutation::add_edge(1, 2)}).added_slots;
+  EXPECT_EQ(added, (std::vector<std::size_t>{4}));
+  removed = g.apply(std::vector<Mutation>{Mutation::remove_edge(1, 2)}).removed_slots;
+  EXPECT_EQ(removed, (std::vector<std::size_t>{4}));
+}
+
 TEST(MutationGenerator, DeterministicAndAlwaysValid) {
   PowerLawConfig config;
   config.num_vertices = 256;
@@ -293,8 +321,8 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalCase{PartitionerKind::kHdrf, 3},
                       IncrementalCase{PartitionerKind::kOblivious, 2},
                       IncrementalCase{PartitionerKind::kGrid, 4}),
-    [](const ::testing::TestParamInfo<IncrementalCase>& info) {
-      return std::string(to_string(info.param.kind));
+    [](const ::testing::TestParamInfo<IncrementalCase>& case_info) {
+      return std::string(to_string(case_info.param.kind));
     });
 
 TEST(IncrementalState, SupportsExactlyTheStreamingFamily) {

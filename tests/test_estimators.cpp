@@ -61,7 +61,8 @@ TEST_P(EstimatorAccuracy, ProxyCcrTracksOracleWithinTenPercent) {
   const auto cluster = testing::case1_cluster();
   ProxySuite suite(kScale);
   const AppKind apps[] = {GetParam()};
-  const auto pool = profile_cluster(cluster, suite, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, apps);
 
   const auto g = corpus_graph("wiki");
   const auto stats = compute_stats(g);
@@ -88,7 +89,8 @@ TEST(Estimators, ThreadCountWorseThanProxyOnCase2) {
   const auto cluster = testing::case2_cluster();
   ProxySuite suite(kScale);
   const AppKind apps[] = {AppKind::kPageRank};
-  const auto pool = profile_cluster(cluster, suite, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, apps);
 
   const auto g = corpus_graph("citation");
   const auto stats = compute_stats(g);
@@ -109,7 +111,7 @@ TEST(Estimators, ThreadCountWorseThanProxyOnCase2) {
 TEST(Estimators, NamesAreStable) {
   EXPECT_EQ(UniformEstimator{}.name(), "uniform");
   EXPECT_EQ(ThreadCountEstimator{}.name(), "thread_count");
-  const CcrPool pool;
+  const TimeDatabase pool;
   EXPECT_EQ(ProxyCcrEstimator{pool}.name(), "proxy_ccr");
   EXPECT_EQ(OracleEstimator{1.0}.name(), "oracle");
 }

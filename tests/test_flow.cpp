@@ -17,14 +17,14 @@ struct FlowFixture : public ::testing::Test {
         graph(make_corpus_graph(corpus_entry("wiki"), kScale)),
         suite(kScale) {
     const AppKind apps[] = {AppKind::kPageRank, AppKind::kConnectedComponents};
-    pool = profile_cluster(cluster, suite, apps);
+    profile_cluster(pool, cluster, suite, apps);
     options.scale = kScale;
   }
 
   Cluster cluster;
   EdgeList graph;
   ProxySuite suite;
-  CcrPool pool;
+  TimeDatabase pool;
   FlowOptions options;
 };
 
@@ -103,7 +103,8 @@ TEST_F(FlowFixture, GridRejectedOnNonSquareCluster) {
 TEST_F(FlowFixture, TriangleCountFlowCanonicalizesInternally) {
   // TC flows must run even though the raw graph is directed with duplicates.
   const AppKind apps[] = {AppKind::kTriangleCount};
-  const auto tc_pool = profile_cluster(cluster, suite, apps);
+  TimeDatabase tc_pool;
+  profile_cluster(tc_pool, cluster, suite, apps);
   const ProxyCcrEstimator estimator(tc_pool);
   const auto result = run_flow(graph, AppKind::kTriangleCount, cluster, estimator, options);
   EXPECT_LE(result.stats.num_edges, graph.num_edges());

@@ -28,7 +28,8 @@ PipelineRun run_pipeline(std::uint64_t seed) {
   const auto cluster = testing::case2_cluster();
   ProxySuite suite(kScale, seed + 100);
   const AppKind apps[] = {AppKind::kConnectedComponents};
-  const auto pool = profile_cluster(cluster, suite, apps);
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, suite, apps);
   const ProxyCcrEstimator estimator(pool);
 
   const auto graph = make_corpus_graph(corpus_entry("citation"), kScale, seed);
@@ -45,7 +46,7 @@ PipelineRun run_pipeline(std::uint64_t seed) {
   run.digest = result.app.digest;
   run.rf = result.replication_factor;
   run.weights = result.weights;
-  run.ccr = pool.ccr_for(AppKind::kConnectedComponents, 2.1);
+  run.ccr = pool.ccr_for(cluster, AppKind::kConnectedComponents, 2.1);
   return run;
 }
 
@@ -81,8 +82,9 @@ TEST(IntegrationDeterminism, ScaleChangesMagnitudeNotStructure) {
   for (const double scale : {1.0 / 512.0, 1.0 / 128.0}) {
     ProxySuite suite(scale, 100);
     const AppKind apps[] = {AppKind::kPageRank};
-    const auto pool = profile_cluster(cluster, suite, apps);
-    ccrs.push_back(pool.ccr_for(AppKind::kPageRank, 2.1)[1]);
+    TimeDatabase pool;
+    profile_cluster(pool, cluster, suite, apps);
+    ccrs.push_back(pool.ccr_for(cluster, AppKind::kPageRank, 2.1)[1]);
   }
   EXPECT_NEAR(ccrs[0], ccrs[1], ccrs[0] * 0.03);
 }

@@ -163,7 +163,9 @@ TEST(LatencyHistogram, NonzeroBucketsAreSparseSortedAndComplete) {
   ASSERT_EQ(buckets.size(), 3u);  // occupied buckets only, no zero runs
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (i > 0) EXPECT_LT(buckets[i - 1].bucket, buckets[i].bucket);
+    if (i > 0) {
+      EXPECT_LT(buckets[i - 1].bucket, buckets[i].bucket);
+    }
     EXPECT_DOUBLE_EQ(buckets[i].floor_us,
                      LatencyHistogram::bucket_floor_us(buckets[i].bucket));
     total += buckets[i].count;

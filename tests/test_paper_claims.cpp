@@ -25,7 +25,8 @@ struct PipelineFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     cluster = new Cluster(pglb::testing::case2_cluster());
     suite = new ProxySuite(kScale, 100);
-    pool = new CcrPool(profile_cluster(*cluster, *suite, kPaperApps));
+    pool = new TimeDatabase;
+    profile_cluster(*pool, *cluster, *suite, kPaperApps);
   }
   static void TearDownTestSuite() {
     delete pool;
@@ -38,12 +39,12 @@ struct PipelineFixture : public ::testing::Test {
 
   static Cluster* cluster;
   static ProxySuite* suite;
-  static CcrPool* pool;
+  static TimeDatabase* pool;
 };
 
 Cluster* PipelineFixture::cluster = nullptr;
 ProxySuite* PipelineFixture::suite = nullptr;
-CcrPool* PipelineFixture::pool = nullptr;
+TimeDatabase* PipelineFixture::pool = nullptr;
 
 TEST_F(PipelineFixture, Claim1_ProxiesPredictCapabilityWithinTenPercent) {
   // Sec. V-A: <10% CCR error on power-law inputs, for every app.
@@ -52,7 +53,7 @@ TEST_F(PipelineFixture, Claim1_ProxiesPredictCapabilityWithinTenPercent) {
     const auto prepared = prepare_graph_for(app, graph);
     const auto oracle_times = profile_groups_on_graph(*cluster, app, graph, kScale);
     const double oracle_ccr = oracle_times[0] / oracle_times[1];
-    const double proxy_ccr = pool->ccr_for(app, 2.1)[1];
+    const double proxy_ccr = pool->ccr_for(*cluster, app, 2.1)[1];
     EXPECT_LT(relative_error(proxy_ccr, oracle_ccr), 0.10) << to_string(app);
     (void)prepared;
   }
@@ -64,7 +65,7 @@ TEST_F(PipelineFixture, Claim2_ThreadCountingMissesBadly) {
       static_cast<double>(cluster->machine(1).compute_threads) /
       cluster->machine(0).compute_threads;
   for (const AppKind app : kPaperApps) {
-    const double proxy_ccr = pool->ccr_for(app, 2.1)[1];
+    const double proxy_ccr = pool->ccr_for(*cluster, app, 2.1)[1];
     EXPECT_GT(relative_error(thread_ratio, proxy_ccr), 0.25) << to_string(app);
   }
 }
@@ -119,7 +120,7 @@ TEST_F(PipelineFixture, Claim5_ProxyCoverageLimitedToPowerLaws) {
   // Coloring's capability gap is the most skew-driven of the propagation
   // apps, so the distribution mismatch shows up cleanly.
   const AppKind app = AppKind::kColoring;
-  const double proxy_ccr = pool->ccr_for(app, 2.1)[1];
+  const double proxy_ccr = pool->ccr_for(*cluster, app, 2.1)[1];
 
   const auto sw_times = profile_groups_on_graph(*cluster, app, small_world, kScale);
   const auto pl_times = profile_groups_on_graph(*cluster, app, powerlaw, kScale);
@@ -132,15 +133,16 @@ TEST_F(PipelineFixture, Claim6_DeratingWidensCcrExceptForTc) {
   // Sec. V-B3 end to end: re-profile the Case 3 cluster and compare.
   const auto case3 = pglb::testing::case3_cluster();
   ProxySuite suite3(kScale, 100);
-  const auto pool3 = profile_cluster(case3, suite3, kPaperApps);
+  TimeDatabase pool3;
+  profile_cluster(pool3, case3, suite3, kPaperApps);
   for (const AppKind app : {AppKind::kPageRank, AppKind::kColoring,
                             AppKind::kConnectedComponents}) {
-    EXPECT_GT(pool3.ccr_for(app, 2.1)[1], pool->ccr_for(app, 2.1)[1] * 1.25)
+    EXPECT_GT(pool3.ccr_for(case3, app, 2.1)[1], pool->ccr_for(*cluster, app, 2.1)[1] * 1.25)
         << to_string(app);
   }
   // TC tracks the clock only: its CCR grows far less.
-  EXPECT_LT(pool3.ccr_for(AppKind::kTriangleCount, 2.1)[1],
-            pool->ccr_for(AppKind::kTriangleCount, 2.1)[1] * 1.6);
+  EXPECT_LT(pool3.ccr_for(case3, AppKind::kTriangleCount, 2.1)[1],
+            pool->ccr_for(*cluster, AppKind::kTriangleCount, 2.1)[1] * 1.6);
 }
 
 TEST(WattsStrogatz, GeneratorBasics) {

@@ -92,8 +92,8 @@ TEST(ParallelDeterminism, ProfilerPoolMatchesSerialGoldens) {
       {machine_by_name("xeon_server_s"), machine_by_name("xeon_server_l")});
   const AppKind apps[] = {AppKind::kPageRank, AppKind::kTriangleCount};
 
-  // group_times captured from the pre-thread-pool serial profiler
-  // (app-major, then proxy alpha 1.95 / 2.1 / 2.3; one time per group).
+  // Times captured from the pre-thread-pool serial profiler (app-major, then
+  // proxy alpha 1.95 / 2.1 / 2.3; one time per machine type).
   const std::vector<std::vector<double>> golden = {
       {6.1151409509545154, 2.0871069227198324},    // pagerank, 1.95
       {3.6172971327305845, 1.2183652400979097},    // pagerank, 2.1
@@ -106,14 +106,17 @@ TEST(ParallelDeterminism, ProfilerPoolMatchesSerialGoldens) {
   for (const unsigned threads : kThreadCounts) {
     ThreadPool pool(threads);
     const ProxySuite suite(1.0 / 256.0, 17, &pool);
-    const CcrPool ccr = profile_cluster(cluster, suite, apps, &pool);
-    ASSERT_EQ(ccr.entries().size(), golden.size()) << threads << " threads";
+    TimeDatabase ccr;
+    ASSERT_EQ(profile_cluster(ccr, cluster, suite, apps, &pool), 12u)
+        << threads << " threads";
     for (std::size_t i = 0; i < golden.size(); ++i) {
-      const auto& entry = ccr.entries()[i];
-      ASSERT_EQ(entry.group_times.size(), golden[i].size());
+      const AppKind app = apps[i / 3];
+      const double alpha = suite.proxies()[i % 3].alpha;
       for (std::size_t g = 0; g < golden[i].size(); ++g) {
-        EXPECT_EQ(entry.group_times[g], golden[i][g])  // exact bit equality
-            << threads << " threads, entry " << i << ", group " << g;
+        const auto seconds = ccr.lookup({app, alpha, cluster.machine(g).name});
+        ASSERT_TRUE(seconds.has_value());
+        EXPECT_EQ(*seconds, golden[i][g])  // exact bit equality
+            << threads << " threads, entry " << i << ", machine " << g;
       }
     }
   }

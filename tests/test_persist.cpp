@@ -161,7 +161,6 @@ TEST(WarmState, SaveRestoreRoundTripsCacheAndTimeDatabase) {
   ASSERT_TRUE(saved.ok) << saved.error;
   EXPECT_EQ(saved.generation, 1u);
   EXPECT_EQ(saved.cache_entries, 2u);
-  EXPECT_GT(saved.time_entries, 0u);
   EXPECT_GT(saved.bytes, persist::kFileHeaderSize);
 
   Planner restored(tiny_options());
@@ -170,9 +169,15 @@ TEST(WarmState, SaveRestoreRoundTripsCacheAndTimeDatabase) {
   EXPECT_FALSE(loaded.rejected);
   EXPECT_EQ(loaded.generation, 1u);
   EXPECT_EQ(loaded.cache_entries, 2u);
-  EXPECT_EQ(loaded.time_entries, source.time_database().size());
   EXPECT_EQ(restored.cache_stats().size, 2u);
-  EXPECT_EQ(restored.time_database().size(), source.time_database().size());
+  // The profiled per-class times (the CCR pool) travel inside the entries.
+  const auto before = source.export_cache();
+  const auto after = restored.export_cache();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].key, before[i].key);
+    EXPECT_EQ(after[i].entry->class_times, before[i].entry->class_times);
+  }
 
   // Serving from the restored entries is all hits, no re-profiling.
   ASSERT_TRUE(restored.plan(basic_request()).ok);
@@ -276,8 +281,55 @@ TEST(WarmState, SectionlessSnapshotLoadsAsZeroEntries) {
   const persist::SnapshotIoResult result = persist::load_warm_snapshot(planner, dir);
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.cache_entries, 0u);
-  EXPECT_EQ(result.time_entries, 0u);
   EXPECT_EQ(planner.cache_stats().size, 0u);
+}
+
+TEST(WarmState, OlderSnapshotWithATimeDatabaseSectionRestoresWarm) {
+  // Older builds also wrote a kTimeDatabase section ((app, proxy alpha,
+  // machine class) -> seconds, the same times the cache entries carry).
+  // Nothing reads it now: the container CRC-checks and skips it, so such a
+  // snapshot restores warm, and so does one whose section would not decode.
+  Planner source(tiny_options());
+  PlanRequest second = basic_request("t2");
+  second.app = AppKind::kColoring;
+  const std::string fresh_a = serialize_response(source.plan(basic_request()));
+  const std::string fresh_b = serialize_response(source.plan(second));
+  const auto entries = source.export_cache();
+
+  std::string pool;  // the older builds' encoding of the section
+  std::uint32_t rows = 0;
+  for (const auto& exported : entries) rows += exported.entry->class_times.size();
+  persist::append_u32(pool, rows);
+  for (const auto& exported : entries) {
+    const auto request = plan_request_from_profile_key(exported.key);
+    ASSERT_TRUE(request.has_value()) << exported.key;
+    for (const auto& [machine, seconds] : exported.entry->class_times) {
+      persist::append_string(pool, to_string(request->app));
+      persist::append_f64(pool, exported.entry->proxy_alpha);
+      persist::append_string(pool, machine);
+      persist::append_f64(pool, seconds);
+    }
+  }
+
+  for (const std::string& payload : {pool, std::string("not a pool")}) {
+    const std::string dir = fresh_dir("oldpool");
+    SnapshotWriter writer(3);
+    writer.add_section(SectionType::kProfileCache,
+                       persist::encode_profile_cache_section(entries));
+    writer.add_section(SectionType::kTimeDatabase, payload);
+    writer.write(persist::warm_snapshot_path(dir));
+
+    Planner restored(tiny_options());
+    const persist::SnapshotIoResult loaded = persist::load_warm_snapshot(restored, dir);
+    ASSERT_TRUE(loaded.ok) << loaded.error;
+    EXPECT_FALSE(loaded.rejected);
+    EXPECT_EQ(loaded.generation, 3u);
+    EXPECT_EQ(loaded.cache_entries, 2u);
+    EXPECT_EQ(serialize_response(restored.plan(basic_request())), fresh_a);
+    EXPECT_EQ(serialize_response(restored.plan(second)), fresh_b);
+    EXPECT_EQ(restored.cache_stats().hits, 2u);
+    EXPECT_EQ(restored.cache_stats().misses, 0u);
+  }
 }
 
 // --- byte-determinism across restore and thread counts ----------------------

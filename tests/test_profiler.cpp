@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "core/flow.hpp"
+#include "gen/corpus.hpp"
 #include "gen/powerlaw.hpp"
 #include "test_helpers.hpp"
 
@@ -54,65 +58,46 @@ TEST(ProfileSingleMachine, PartitionSeedIsFixedByDesign) {
   EXPECT_EQ(a, b);
 }
 
-TEST(CcrPool, InsertAndQueryNearestAlpha) {
-  CcrPool pool;
-  pool.insert({AppKind::kPageRank, 1.95, {10.0, 4.0}});
-  pool.insert({AppKind::kPageRank, 2.3, {10.0, 2.0}});
-
-  const auto near_dense = pool.ccr_for(AppKind::kPageRank, 1.9);
-  EXPECT_DOUBLE_EQ(near_dense[1], 2.5);  // from the 1.95 entry
-  const auto near_sparse = pool.ccr_for(AppKind::kPageRank, 2.4);
-  EXPECT_DOUBLE_EQ(near_sparse[1], 5.0);  // from the 2.3 entry
-}
-
-TEST(CcrPool, MissingAppThrows) {
-  CcrPool pool;
-  pool.insert({AppKind::kPageRank, 2.1, {1.0, 2.0}});
-  EXPECT_TRUE(pool.has_app(AppKind::kPageRank));
-  EXPECT_FALSE(pool.has_app(AppKind::kColoring));
-  EXPECT_THROW(pool.ccr_for(AppKind::kColoring, 2.1), std::out_of_range);
-  EXPECT_THROW(pool.mean_ccr_for(AppKind::kColoring), std::out_of_range);
-}
-
-TEST(CcrPool, MeanCcrAveragesProxies) {
-  CcrPool pool;
-  pool.insert({AppKind::kColoring, 1.95, {4.0, 2.0}});
-  pool.insert({AppKind::kColoring, 2.3, {8.0, 2.0}});
-  const auto mean = pool.mean_ccr_for(AppKind::kColoring);
-  // Entry 1: times {4,2} -> CCR {1, 2}; entry 2: times {8,2} -> CCR {1, 4}.
-  EXPECT_DOUBLE_EQ(mean[0], 1.0);
-  EXPECT_DOUBLE_EQ(mean[1], 3.0);
-}
-
-TEST(CcrPool, RejectsInconsistentGroupCounts) {
-  CcrPool pool;
-  pool.insert({AppKind::kPageRank, 2.1, {1.0, 2.0}});
-  EXPECT_THROW(pool.insert({AppKind::kPageRank, 2.3, {1.0}}), std::invalid_argument);
-  EXPECT_THROW(pool.insert({AppKind::kPageRank, 2.3, {}}), std::invalid_argument);
-}
-
 TEST(ProfileCluster, OneEntryPerAppPerProxy) {
   ProxySuite suite(kScale);
   const auto cluster = testing::case2_cluster();
   const AppKind apps[] = {AppKind::kPageRank, AppKind::kTriangleCount};
-  const auto pool = profile_cluster(cluster, suite, apps);
-  EXPECT_EQ(pool.entries().size(), 6u);  // 2 apps x 3 proxies
-  EXPECT_EQ(pool.num_groups(), 2u);
-  for (const auto& entry : pool.entries()) {
-    EXPECT_GT(entry.group_times[0], entry.group_times[1])
-        << "xeon_server_l must out-profile xeon_server_s";
+  TimeDatabase pool;
+  EXPECT_EQ(profile_cluster(pool, cluster, suite, apps), 12u);  // 2 x 3 x 2
+  ASSERT_EQ(pool.size(), 12u);
+  for (const AppKind app : apps) {
+    for (const ProxySuite::Proxy& proxy : suite.proxies()) {
+      const auto slow = pool.lookup({app, proxy.alpha, "xeon_server_s"});
+      const auto fast = pool.lookup({app, proxy.alpha, "xeon_server_l"});
+      ASSERT_TRUE(slow && fast) << to_string(app) << " alpha " << proxy.alpha;
+      EXPECT_GT(*slow, *fast) << "xeon_server_l must out-profile xeon_server_s";
+    }
   }
 }
 
 TEST(ProfileCluster, GroupsCollapseIdenticalMachines) {
   ProxySuite suite(kScale);
   const auto& m = machine_by_name("c4.2xlarge");
-  const Cluster cluster({m, m, m});  // one group only
+  const Cluster cluster({m, m, m});  // one machine type only
   const AppKind apps[] = {AppKind::kPageRank};
-  const auto pool = profile_cluster(cluster, suite, apps);
-  EXPECT_EQ(pool.num_groups(), 1u);
-  const auto ccr = pool.ccr_for(AppKind::kPageRank, 2.1);
-  EXPECT_DOUBLE_EQ(ccr[0], 1.0);
+  TimeDatabase pool;
+  EXPECT_EQ(profile_cluster(pool, cluster, suite, apps), 3u);  // one per proxy
+  EXPECT_EQ(pool.ccr_for(cluster, AppKind::kPageRank, 2.1),
+            (std::vector<double>{1.0, 1.0, 1.0}));
+}
+
+TEST(ProfileCluster, RejectsDifferentSpecsSharingAName) {
+  // The pool keys on the machine name, so two different specs under one name
+  // would overwrite each other's times; refuse before profiling anything.
+  ProxySuite suite(kScale);
+  const MachineSpec& base = machine_by_name("c4.2xlarge");
+  MachineSpec faster = base;
+  faster.freq_ghz *= 2.0;
+  const AppKind apps[] = {AppKind::kPageRank};
+  TimeDatabase pool;
+  EXPECT_THROW(profile_cluster(pool, Cluster({base, faster}), suite, apps),
+               std::invalid_argument);
+  EXPECT_EQ(pool.size(), 0u);
 }
 
 TEST(ProfileGroupsOnGraph, MatchesSingleMachineProfiles) {
@@ -123,6 +108,94 @@ TEST(ProfileGroupsOnGraph, MatchesSingleMachineProfiles) {
   EXPECT_DOUBLE_EQ(
       times[0],
       profile_single_machine(machine_by_name("xeon_server_s"), AppKind::kPageRank, g, kScale));
+}
+
+// --- online CCR maintenance (Sec. III-B) ------------------------------------
+// "Re-profiling is only required if new machine types are deployed...
+// Varying the cluster composition among existing machines does not require
+// CCR updates": profile_cluster over a kept pool runs only the missing cells.
+
+constexpr AppKind kPageRankOnly[] = {AppKind::kPageRank};
+
+TEST(OnlineCcr, FirstRefreshProfilesEveryGroup) {
+  const ProxySuite suite(kScale);
+  TimeDatabase pool;
+  // 1 app x 3 proxies x 2 machine types.
+  EXPECT_EQ(profile_cluster(pool, testing::case2_cluster(), suite, kPageRankOnly), 6u);
+}
+
+TEST(OnlineCcr, SecondRefreshIsFree) {
+  const ProxySuite suite(kScale);
+  const auto cluster = testing::case2_cluster();
+  TimeDatabase pool;
+  EXPECT_EQ(profile_cluster(pool, cluster, suite, kPageRankOnly), 6u);
+  EXPECT_EQ(profile_cluster(pool, cluster, suite, kPageRankOnly), 0u);
+  EXPECT_EQ(pool.size(), 6u);
+}
+
+TEST(OnlineCcr, CompositionChangeAmongKnownTypesIsFree) {
+  const ProxySuite suite(kScale);
+  TimeDatabase pool;
+  profile_cluster(pool, testing::case2_cluster(), suite, kPageRankOnly);
+  const Cluster bigger({machine_by_name("xeon_server_s"), machine_by_name("xeon_server_l"),
+                        machine_by_name("xeon_server_l"),
+                        machine_by_name("xeon_server_s")});
+  EXPECT_EQ(profile_cluster(pool, bigger, suite, kPageRankOnly), 0u);
+  const auto ccr = pool.ccr_for(bigger, AppKind::kPageRank, 2.1);
+  ASSERT_EQ(ccr.size(), 4u);
+  EXPECT_DOUBLE_EQ(ccr[0], ccr[3]);
+  EXPECT_DOUBLE_EQ(ccr[1], ccr[2]);
+  EXPECT_GT(ccr[1], ccr[0]);
+}
+
+TEST(OnlineCcr, NewMachineTypeProfilesIncrementally) {
+  const ProxySuite suite(kScale);
+  TimeDatabase pool;
+  profile_cluster(pool, testing::case2_cluster(), suite, kPageRankOnly);
+  const Cluster upgraded({machine_by_name("xeon_server_s"), machine_by_name("xeon_server_l"),
+                          machine_by_name("c4.xlarge"), machine_by_name("c4.xlarge")});
+  // Only the new type, once per proxy despite its two instances.
+  EXPECT_EQ(profile_cluster(pool, upgraded, suite, kPageRankOnly), 3u);
+  EXPECT_EQ(pool.size(), 9u);
+  for (const ProxySuite::Proxy& proxy : suite.proxies()) {
+    EXPECT_TRUE(pool.lookup({AppKind::kPageRank, proxy.alpha, "c4.xlarge"}).has_value());
+  }
+  EXPECT_NO_THROW(pool.ccr_for(upgraded, AppKind::kPageRank, 2.1));
+}
+
+TEST(OnlineCcr, PreloadedDatabaseAvoidsProfiling) {
+  const ProxySuite suite(kScale);
+  const auto cluster = testing::case2_cluster();
+  TimeDatabase first;
+  profile_cluster(first, cluster, suite, kPageRankOnly);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "pglb_online_preload.tsv").string();
+  save_time_database(first, path);
+  TimeDatabase second = load_time_database(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(profile_cluster(second, cluster, suite, kPageRankOnly), 0u);
+  EXPECT_EQ(second.entries(), first.entries());
+}
+
+TEST(OnlineCcr, UnprofiledClusterThrows) {
+  const TimeDatabase pool;
+  EXPECT_THROW(pool.ccr_for(testing::case2_cluster(), AppKind::kPageRank, 2.1),
+               std::out_of_range);
+}
+
+TEST(OnlineCcr, ProxyCcrEstimatorPlugsIntoTheFlow) {
+  const auto cluster = testing::case2_cluster();
+  TimeDatabase pool;
+  profile_cluster(pool, cluster, ProxySuite(kScale), kPageRankOnly);
+
+  const auto graph = make_corpus_graph(corpus_entry("wiki"), kScale);
+  FlowOptions options;
+  options.scale = kScale;
+  const ProxyCcrEstimator guided(pool);
+  const UniformEstimator uniform;
+  const auto ccr = run_flow(graph, AppKind::kPageRank, cluster, guided, options);
+  const auto plain = run_flow(graph, AppKind::kPageRank, cluster, uniform, options);
+  EXPECT_LT(ccr.app.report.makespan_seconds, plain.app.report.makespan_seconds);
 }
 
 }  // namespace

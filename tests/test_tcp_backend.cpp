@@ -74,6 +74,12 @@ std::optional<wire::Frame> read_frame_fd(int fd, std::string* carry) {
         return frame;
       case wire::DecodeStatus::kBad:
         return std::nullopt;
+      case wire::DecodeStatus::kCorrupt:
+        // Framing is intact: drop the damaged frame and decode what follows
+        // from `carry` before blocking in read() for more.
+        carry->erase(0, offset);
+        offset = 0;
+        continue;
       case wire::DecodeStatus::kNeedMore:
         break;
     }

@@ -5,8 +5,10 @@
 #include <clocale>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "core/profiler.hpp"
 #include "test_helpers.hpp"
 
 namespace pglb {
@@ -40,6 +42,16 @@ TEST(TimeDatabase, RejectsNonPositiveTimes) {
   TimeDatabase db;
   EXPECT_THROW(db.record({AppKind::kPageRank, 2.1, "m"}, 0.0), std::invalid_argument);
   EXPECT_THROW(db.record({AppKind::kPageRank, 2.1, "m"}, -1.0), std::invalid_argument);
+}
+
+TEST(TimeDatabase, RejectsNonFiniteAlpha) {
+  // A NaN key would break the ordering std::map relies on.
+  TimeDatabase db;
+  for (const double alpha : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(db.record({AppKind::kPageRank, alpha, "m"}, 1.0), std::invalid_argument);
+  }
+  EXPECT_EQ(db.size(), 0u);
 }
 
 TEST(TimeDatabase, AlphasForAppSortedUnique) {
@@ -79,12 +91,20 @@ TEST(TimeDatabase, MissingMachineThrows) {
 }
 
 TEST(TimeDatabase, MissingMachinesListsOnlyUnknownTypes) {
-  const auto db = sample_db();
+  // profile_cluster runs only the cells the pool lacks: the known type costs
+  // nothing, and the unknown type is profiled once per proxy.
+  const ProxySuite suite(1.0 / 256.0);
+  const AppKind apps[] = {AppKind::kPageRank};
+  TimeDatabase db;
+  profile_cluster(db, Cluster({machine_by_name("xeon_server_s")}), suite, apps);
   const Cluster mixed({machine_by_name("xeon_server_s"), machine_by_name("c4.xlarge"),
                        machine_by_name("c4.xlarge")});
-  const auto missing = db.missing_machines(mixed, AppKind::kPageRank, 2.1);
-  ASSERT_EQ(missing.size(), 1u);  // c4.xlarge once, despite two instances
-  EXPECT_EQ(missing[0].name, "c4.xlarge");
+  // c4.xlarge once, despite two instances.
+  EXPECT_EQ(profile_cluster(db, mixed, suite, apps), suite.proxies().size());
+  EXPECT_EQ(db.size(), 2 * suite.proxies().size());
+  for (const ProxySuite::Proxy& proxy : suite.proxies()) {
+    EXPECT_TRUE(db.lookup({AppKind::kPageRank, proxy.alpha, "c4.xlarge"}).has_value());
+  }
 }
 
 TEST(TimeDatabase, SaveLoadRoundTrip) {
@@ -180,6 +200,31 @@ TEST(TimeDatabase, LoadRejectsCorruptFiles) {
   }
   EXPECT_THROW(load_time_database(bad_row), std::runtime_error);
   std::filesystem::remove(bad_row);
+
+  // from_chars accepts "nan" and "inf": a non-finite alpha, or seconds that
+  // are not finite and positive, is a parse error naming the row's line.
+  for (const char* row : {"pagerank\tnan\txeon_server_s\t9",
+                          "pagerank\tinf\txeon_server_s\t9",
+                          "pagerank\t2.3\txeon_server_s\tinf",
+                          "pagerank\t2.3\txeon_server_s\tnan",
+                          "pagerank\t2.3\txeon_server_s\t0",
+                          "pagerank\t2.3\txeon_server_s\t-1"}) {
+    const auto path = (dir / "pglb_pool_bad3.tsv").string();
+    {
+      std::ofstream out(path);
+      out << "# pglb-ccr-pool v2\npagerank\t2.3\txeon_server_s\t4\n" << row << "\n";
+    }
+    try {
+      load_time_database(path);
+      ADD_FAILURE() << "loaded: " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("parse error at line 3"), std::string::npos)
+          << row << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << row << " threw a non-runtime_error: " << e.what();
+    }
+    std::filesystem::remove(path);
+  }
 
   EXPECT_THROW(load_time_database("/no/such/file.tsv"), std::runtime_error);
 }

@@ -29,7 +29,7 @@
 #include "baselines/dynamic_migration.hpp"
 #include "core/flow.hpp"
 #include "dynamic/delta_planner.hpp"
-#include "core/online.hpp"
+#include "core/profiler.hpp"
 #include "core/time_database.hpp"
 #include "gen/alpha_solver.hpp"
 #include "gen/chung_lu.hpp"
@@ -197,13 +197,13 @@ int cmd_profile(const Cli& cli) {
     apps.push_back(app_from_name(name));
   }
 
-  OnlineCcrManager manager(ProxySuite(scale), apps);
-  const std::size_t runs = manager.refresh(cluster);
-  save_time_database(manager.database(), out);
+  TimeDatabase pool;
+  const std::size_t runs = profile_cluster(pool, cluster, ProxySuite(scale), apps);
+  save_time_database(pool, out);
   std::cout << "profiled " << runs << " (app, proxy, machine-type) combinations; pool "
             << "saved to " << out << "\n";
   for (const AppKind app : apps) {
-    const auto ccr = manager.ccr_for(cluster, app, 2.1);
+    const auto ccr = pool.ccr_for(cluster, app, 2.1);
     std::cout << "  " << to_string(app) << " CCR:";
     for (const double c : ccr) std::cout << " " << format_double(c, 2);
     std::cout << "\n";
@@ -212,7 +212,7 @@ int cmd_profile(const Cli& cli) {
 }
 
 std::vector<double> weights_from_flag(const Cli& cli, const Cluster& cluster, AppKind app,
-                                      const GraphStats& stats) {
+                                      const EdgeList& graph, const GraphStats& stats) {
   const std::string spec = cli.get_string("weights", "uniform");
   if (spec == "uniform") return uniform_weights(cluster.size());
   if (spec == "threads") return thread_count_weights(cluster);
@@ -226,8 +226,7 @@ std::vector<double> weights_from_flag(const Cli& cli, const Cluster& cluster, Ap
   }
   // Otherwise: path to a profiled pool.
   const TimeDatabase db = load_time_database(spec);
-  const double alpha = fit_alpha_clamped(stats.num_vertices, stats.num_edges);
-  return shares_from_capabilities(db.ccr_for(cluster, app, alpha));
+  return ProxyCcrEstimator(db).weights(cluster, app, graph, stats);
 }
 
 int cmd_partition(const Cli& cli) {
@@ -241,7 +240,7 @@ int cmd_partition(const Cli& cli) {
   const EdgeList raw = read_graph_any(path);
   const EdgeList graph = prepare_graph_for(app, raw);
   const GraphStats stats = compute_stats(graph);
-  const auto weights = weights_from_flag(cli, cluster, app, stats);
+  const auto weights = weights_from_flag(cli, cluster, app, graph, stats);
 
   const auto partitioner = make_partitioner(kind);
   const auto assignment = partitioner->partition(graph, weights, seed);
@@ -299,21 +298,7 @@ int cmd_run(const Cli& cli) {
                                   "(create one with `pglb profile`)");
     }
     db = load_time_database(pool_path);
-    // Adapt the persisted database through a local estimator.
-    class DbEstimator final : public CapabilityEstimator {
-     public:
-      explicit DbEstimator(const TimeDatabase& database) : db_(&database) {}
-      std::string name() const override { return "ccr_pool"; }
-      std::vector<double> weights(const Cluster& c, AppKind a, const EdgeList&,
-                                  const GraphStats& s) const override {
-        const double alpha = fit_alpha_clamped(s.num_vertices, s.num_edges);
-        return shares_from_capabilities(db_->ccr_for(c, a, alpha));
-      }
-
-     private:
-      const TimeDatabase* db_;
-    };
-    estimator = std::make_unique<DbEstimator>(db);
+    estimator = std::make_unique<ProxyCcrEstimator>(db);
   } else {
     throw std::invalid_argument("unknown --estimator '" + estimator_name +
                                 "' (uniform, threads, ccr, oracle)");

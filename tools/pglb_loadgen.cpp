@@ -41,7 +41,7 @@
 // and produced a populated (cost, p99) Pareto frontier, with zero "error"
 // responses throughout:
 //
-//   pglb_loadgen --requests=96 --router=1 --server=./pglb_serve \
+//   pglb_loadgen --requests=96 --router=1 --server=./pglb_serve
 //     --autoscale --wave=60 --churn --max-replicas=3
 //
 // Chaos mode (docs/CHAOS.md): --chaos=SCENARIO (fleet mode only) spawns the

@@ -43,8 +43,7 @@
 //   --snapshot-dir=DIR          lazily restore DIR/warm.snap on boot (a
 //                               corrupt or missing snapshot is a logged cold
 //                               start, never a crash) and save the profile
-//                               cache + time database there on the SIGTERM
-//                               drain / EOF path
+//                               cache there on the SIGTERM drain / EOF path
 //   --snapshot-interval-ms=N    additionally save every N ms on a dedicated
 //                               timer thread, off the worker pool
 
@@ -134,8 +133,7 @@ void restore_warm_state(Planner& planner, ServiceMetrics& metrics,
   if (loaded.ok) {
     std::cerr << "pglb_serve: restored snapshot generation " << loaded.generation
               << " (" << loaded.cache_entries << " cache entries, "
-              << loaded.time_entries << " time entries, " << loaded.dynamic_bases
-              << " delta bases, " << loaded.bytes << " bytes)\n";
+              << loaded.dynamic_bases << " delta bases, " << loaded.bytes << " bytes)\n";
   } else if (loaded.rejected) {
     std::cerr << "pglb_serve: snapshot rejected (" << loaded.error
               << "); cold start\n";
