@@ -21,7 +21,8 @@ std::vector<double> ThreadCountEstimator::weights(const Cluster& cluster, AppKin
 std::vector<double> ProxyCcrEstimator::weights(const Cluster& cluster, AppKind app,
                                                const EdgeList& /*graph*/,
                                                const GraphStats& stats) const {
-  // The <1 ms Eq. 7 fit selects the best-matching proxy's CCR set.
+  // The Eq. 7 fit (a few microseconds) selects the best-matching proxy's
+  // CCR set.
   const double alpha = fit_alpha_clamped(stats.num_vertices, stats.num_edges);
   return shares_from_capabilities(pool_->ccr_for(cluster, app, alpha));
 }

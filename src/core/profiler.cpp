@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "apps/registry.hpp"
+#include "engine/engine.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "partition/random_hash.hpp"
@@ -11,32 +12,56 @@
 
 namespace pglb {
 
-double profile_single_machine(const MachineSpec& spec, AppKind app,
-                              const EdgeList& graph, double scale,
-                              const CancelToken* cancel) {
-  // One profiling cell = one single-machine virtual execution; the span and
-  // counter cover every caller (suite profiling, oracle estimation, the
-  // planning service's per-class fan-out).  Cancellation is checked at cell
-  // granularity: a cell that has started always completes (its output is
-  // bit-identical to an undeadlined run), and a stuck cell is simulated by
-  // the "profiler.cell" fault site rather than interrupted for real.
+namespace {
+
+Cluster solo(const MachineSpec& spec) { return Cluster{std::vector<MachineSpec>{spec}}; }
+
+/// One profiling pass of `app` over `graph`: prepare, partition and run the
+/// kernel once, on a one-machine cluster of specs[0], then price that work on
+/// one machine of each spec (a priced cell).  Returns per-spec virtual
+/// seconds.  Cancellation and the "profiler.cell" fault site guard the kernel
+/// run: a run that has started always completes (its output is bit-identical
+/// to an undeadlined run), and a stuck run is simulated by the fault site
+/// rather than interrupted for real.  Pricing is cheap, but a fired token
+/// still stops it before the next cell.
+std::vector<double> profile_on_graph(std::span<const MachineSpec* const> specs, AppKind app,
+                                     const EdgeList& graph, double scale,
+                                     const CancelToken* cancel) {
+  if (specs.empty()) return {};
   check_cancel(cancel, "profiler.cell");
   fault_point("profiler.cell");
   check_cancel(cancel, "profiler.cell");  // a stall may have eaten the budget
-  PGLB_TRACE_SPAN("profile.cell", "profiler");
-  global_registry().count("profiler.cells");
-  const Cluster solo{std::vector<MachineSpec>{spec}};
-  const EdgeList prepared = prepare_graph_for(app, graph);
-  const GraphStats stats = compute_stats(prepared);
-  const WorkloadTraits traits = traits_from_stats(stats, scale);
+  WorkloadTraits traits;
+  ExecReport kernel;
+  {
+    PGLB_TRACE_SPAN("profile.cell", "profiler");
+    const EdgeList prepared = prepare_graph_for(app, graph);
+    traits = traits_from_stats(compute_stats(prepared), scale);
+    const std::vector<double> weights{1.0};
+    const auto assignment =
+        RandomHashPartitioner().partition(prepared, weights, kProfilingPartitionSeed);
+    const auto dg = build_distributed(prepared, assignment);
+    kernel = run_app(app, prepared, dg, solo(*specs.front()), traits).report;
+  }
+  std::vector<double> seconds;
+  seconds.reserve(specs.size());
+  for (const MachineSpec* spec : specs) {
+    check_cancel(cancel, "profiler.cell");
+    PGLB_TRACE_SPAN("profile.price", "profiler");
+    global_registry().count("profiler.cells");
+    seconds.push_back(
+        price(kernel, solo(*spec), profile_for(app), traits).makespan_seconds);
+  }
+  return seconds;
+}
 
-  const RandomHashPartitioner partitioner;
-  const std::vector<double> weights{1.0};
-  const auto assignment =
-      partitioner.partition(prepared, weights, kProfilingPartitionSeed);
-  const auto dg = build_distributed(prepared, assignment);
-  const auto result = run_app(app, prepared, dg, solo, traits);
-  return result.report.makespan_seconds;
+}  // namespace
+
+double profile_single_machine(const MachineSpec& spec, AppKind app,
+                              const EdgeList& graph, double scale,
+                              const CancelToken* cancel) {
+  const MachineSpec* specs[] = {&spec};
+  return profile_on_graph(specs, app, graph, scale, cancel).front();
 }
 
 std::size_t profile_cluster(TimeDatabase& pool, const Cluster& cluster,
@@ -53,53 +78,54 @@ std::size_t profile_cluster(TimeDatabase& pool, const Cluster& cluster,
     }
   }
 
-  // Collect the cells the pool lacks.  Every cell is an independent
-  // single-machine virtual execution writing its own slot; a CancelledError
-  // (or injected fault) from any cell is rethrown by the fan-out before
-  // anything is recorded.
-  struct Cell {
-    TimeDatabase::Key key;
-    const MachineSpec* machine;
-    const EdgeList* graph;
+  // One kernel run per (app, proxy) that lacks a machine type, priced for
+  // each missing type.  Every run is independent and writes its own slot; a
+  // CancelledError (or injected fault) from any run is rethrown by the
+  // fan-out before anything is recorded.
+  struct Run {
+    AppKind app;
+    const ProxySuite::Proxy* proxy;
+    std::vector<const MachineSpec*> missing;
   };
-  std::vector<Cell> cells;
+  std::vector<Run> runs;
   for (const AppKind app : apps) {
     for (const ProxySuite::Proxy& proxy : suite.proxies()) {
+      Run run{app, &proxy, {}};
       for (const MachineGroup& group : groups) {
-        TimeDatabase::Key key{app, proxy.alpha, group.representative.name};
-        if (!pool.lookup(key)) {
-          cells.push_back({std::move(key), &group.representative, &proxy.graph});
+        if (!pool.lookup({app, proxy.alpha, group.representative.name})) {
+          run.missing.push_back(&group.representative);
         }
       }
+      if (!run.missing.empty()) runs.push_back(std::move(run));
     }
   }
-  std::vector<double> times(cells.size(), 0.0);
-  parallel_for(pool_or_global(thread_pool), cells.size(), 1,
+  std::vector<std::vector<double>> times(runs.size());
+  parallel_for(pool_or_global(thread_pool), runs.size(), 1,
                [&](std::size_t begin, std::size_t end) {
                  for (std::size_t i = begin; i < end; ++i) {
-                   times[i] = profile_single_machine(*cells[i].machine, cells[i].key.app,
-                                                     *cells[i].graph, suite.scale(), cancel);
+                   times[i] = profile_on_graph(runs[i].missing, runs[i].app,
+                                               runs[i].proxy->graph, suite.scale(), cancel);
                  }
                });
-  for (std::size_t i = 0; i < cells.size(); ++i) pool.record(cells[i].key, times[i]);
-  return cells.size();
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t j = 0; j < runs[i].missing.size(); ++j, ++cells) {
+      pool.record({runs[i].app, runs[i].proxy->alpha, runs[i].missing[j]->name}, times[i][j]);
+    }
+  }
+  return cells;
 }
 
 std::vector<double> profile_groups_on_graph(const Cluster& cluster, AppKind app,
                                             const EdgeList& graph, double scale,
-                                            ThreadPool* thread_pool,
                                             const CancelToken* cancel) {
   PGLB_TRACE_SPAN("profile.groups", "profiler");
   const auto groups = group_machines(cluster);
-  std::vector<double> times(groups.size(), 0.0);
-  parallel_for(pool_or_global(thread_pool), groups.size(), 1,
-               [&](std::size_t begin, std::size_t end) {
-                 for (std::size_t g = begin; g < end; ++g) {
-                   times[g] = profile_single_machine(groups[g].representative, app, graph,
-                                                     scale, cancel);
-                 }
-               });
-  return times;
+  std::vector<const MachineSpec*> specs;
+  for (const MachineGroup& group : groups) {
+    specs.push_back(&group.representative);
+  }
+  return profile_on_graph(specs, app, graph, scale, cancel);
 }
 
 }  // namespace pglb

@@ -1,8 +1,10 @@
 #pragma once
-// Offline profiling (Sec. III-B, Fig. 7a): run each application on each
+// Offline profiling (Sec. III-B, Fig. 7a): time each application on each
 // synthetic proxy on ONE machine per type — individually, so no
 // communication interferes — and record the runtimes in the TimeDatabase,
-// the one CCR pool.  Profiling is a one-time cost per (application, machine
+// the one CCR pool.  The simulated kernel's work does not depend on the
+// machine, so each (application, graph) runs once and is priced for every
+// machine type.  Profiling is a one-time cost per (application, machine
 // type); the pool is reused across every future input graph and cluster
 // composition.
 
@@ -32,8 +34,8 @@ inline constexpr std::uint64_t kProfilingPartitionSeed = 0;
 /// Virtual-time runtime of `app` on `graph` executed on a single machine of
 /// type `spec` (a one-machine cluster: no mirrors, no communication).
 /// `scale` is the down-scaling factor of `graph` for trait re-inflation.
-/// Each cell checks `cancel` before running (cooperative deadline support)
-/// and carries the "profiler.cell" fault-injection site.
+/// The kernel run checks `cancel` before it starts (cooperative deadline
+/// support) and carries the "profiler.cell" fault-injection site.
 double profile_single_machine(const MachineSpec& spec, AppKind app,
                               const EdgeList& graph, double scale,
                               const CancelToken* cancel = nullptr);
@@ -41,24 +43,28 @@ double profile_single_machine(const MachineSpec& spec, AppKind app,
 /// Fill `pool` for `cluster` (Sec. III-B, Fig. 7a right): every app x every
 /// proxy x every machine type of the cluster, skipping the cells `pool`
 /// already holds, so a second pass, or a composition change among known
-/// types, costs nothing and only new machine types are profiled.  Returns the
-/// number of cells run.  The missing cells fan out over `thread_pool`
-/// (nullptr = the global pool) into per-cell slots and are recorded after the
-/// fan-out, so the pool is bit-identical at any thread count.  `cancel` is
-/// polled per cell; a fired token (or an injected fault) aborts the pass
-/// before anything is recorded.  Throws std::invalid_argument, before
-/// profiling, when two different specs in `cluster` share a name: the pool
-/// keys on the name, so one would silently overwrite the other.
+/// types, costs nothing and only new machine types are profiled.  Each
+/// (app, proxy) that lacks a type runs its kernel once and prices it for
+/// every missing type (engine.hpp's price).  Returns the number of cells
+/// priced.  The runs fan out over `thread_pool` (nullptr = the global pool)
+/// into per-run slots and are recorded after the fan-out, so the pool is
+/// bit-identical at any thread count.  `cancel` is polled per kernel run and
+/// per cell; a fired token (or an injected fault) aborts the pass before
+/// anything is recorded.  Throws std::invalid_argument, before profiling,
+/// when two different specs in `cluster` share a name: the pool keys on the
+/// name, so one would silently overwrite the other.
 std::size_t profile_cluster(TimeDatabase& pool, const Cluster& cluster,
                             const ProxySuite& suite, std::span<const AppKind> apps,
                             ThreadPool* thread_pool = nullptr,
                             const CancelToken* cancel = nullptr);
 
 /// Profile using an arbitrary graph instead of the proxies (the "real graph"
-/// CCR of Fig. 8, and the oracle estimator).  Returns per-group times.
-std::vector<double> profile_groups_on_graph(const Cluster& cluster,
-                                            AppKind app, const EdgeList& graph,
-                                            double scale, ThreadPool* pool = nullptr,
+/// CCR of Fig. 8, the oracle estimator, the planning service's per-class
+/// profile).  Runs the kernel once and prices it per machine group; returns
+/// per-group times, each bit-identical to profile_single_machine on the
+/// group's representative.
+std::vector<double> profile_groups_on_graph(const Cluster& cluster, AppKind app,
+                                            const EdgeList& graph, double scale,
                                             const CancelToken* cancel = nullptr);
 
 }  // namespace pglb

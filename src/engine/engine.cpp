@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -22,6 +23,7 @@ VirtualClusterExecutor::VirtualClusterExecutor(const Cluster& cluster, const App
       work_scale_(traits.work_scale),
       energy_(std::vector<MachineSpec>(cluster.machines().begin(), cluster.machines().end())),
       activity_(cluster.size()) {
+  work_.machines = cluster.size();
   if (!(work_scale_ >= 1.0)) {
     throw std::invalid_argument("VirtualClusterExecutor: work_scale must be >= 1");
   }
@@ -79,6 +81,8 @@ void VirtualClusterExecutor::record_superstep(std::span<const double> ops,
                });
   for (const double o : ops) total_ops_ += o;
   ++supersteps_;
+  work_.ops.insert(work_.ops.end(), ops.begin(), ops.end());
+  work_.comm_bytes.insert(work_.comm_bytes.end(), comm_bytes.begin(), comm_bytes.end());
 
   if (app_->synchronous) {
     // BSP barrier at the end of compute, then the collective exchange: the
@@ -107,6 +111,7 @@ ExecReport VirtualClusterExecutor::finish(std::string app_name, bool converged) 
   if (finished_) throw std::logic_error("finish() called twice");
   finished_ = true;
   global_registry().count("engine.runs");
+  if (!replay_) global_registry().count("engine.app_runs");
   global_registry().count("engine.supersteps", static_cast<std::uint64_t>(supersteps_));
 
   if (!app_->synchronous) {
@@ -132,11 +137,30 @@ ExecReport VirtualClusterExecutor::finish(std::string app_name, bool converged) 
   report.total_ops = total_ops_;
   report.per_machine = activity_;
   report.trace = std::move(trace_);
+  report.work = std::move(work_);
   for (MachineId m = 0; m < cluster_->size(); ++m) {
     report.per_machine[m].joules = energy_.per_machine()[m].joules;
   }
   report.total_joules = energy_.total_joules();
   return report;
+}
+
+ExecReport price(const ExecReport& run, const Cluster& cluster, const AppProfile& app,
+                 const WorkloadTraits& traits) {
+  const WorkTrace& work = run.work;
+  if (work.machines != cluster.size()) {
+    throw std::invalid_argument("price: the run recorded " + std::to_string(work.machines) +
+                                " machine(s), the cluster has " +
+                                std::to_string(cluster.size()));
+  }
+  VirtualClusterExecutor exec(cluster, app, traits);
+  exec.replay_ = true;
+  const std::size_t width = work.machines;
+  for (std::size_t at = 0; width > 0 && at < work.ops.size(); at += width) {
+    exec.record_superstep(std::span<const double>(work.ops).subspan(at, width),
+                          std::span<const double>(work.comm_bytes).subspan(at, width));
+  }
+  return exec.finish(run.app_name, run.converged);
 }
 
 std::vector<double> mirror_sync_bytes(const DistributedGraph& dg, const AppProfile& app) {

@@ -52,6 +52,9 @@ class VirtualClusterExecutor {
   bool synchronous() const noexcept { return app_->synchronous; }
 
  private:
+  friend ExecReport price(const ExecReport& run, const Cluster& cluster,
+                          const AppProfile& app, const WorkloadTraits& traits);
+
   const Cluster* cluster_;
   const AppProfile* app_;
   ThreadPool* pool_ = nullptr;
@@ -64,8 +67,19 @@ class VirtualClusterExecutor {
   double makespan_ = 0.0;
   int supersteps_ = 0;
   double total_ops_ = 0.0;
+  WorkTrace work_;
+  bool replay_ = false;  ///< set by price(): not counted as an app run
   bool finished_ = false;
 };
+
+/// Price a recorded run on `cluster`: replay `run.work` through a fresh
+/// executor (no interference) and seal it with `run`'s name and convergence.
+/// Apps only record work and never read virtual time back, so the report is
+/// bit-identical to running the app on `cluster`: profiling runs each kernel
+/// once and prices it per machine type.  Throws std::invalid_argument when
+/// `cluster` has a different machine count than the run.
+ExecReport price(const ExecReport& run, const Cluster& cluster, const AppProfile& app,
+                 const WorkloadTraits& traits);
 
 /// Mirror-synchronisation bytes each machine moves in one value-exchange
 /// round: every mirror uploads its gather partial and downloads the applied

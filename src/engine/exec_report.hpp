@@ -27,6 +27,17 @@ struct SuperstepTrace {
   double total_ops = 0.0;
 };
 
+/// The work an app recorded, superstep by superstep: per-machine operation
+/// counts and mirror-synchronisation bytes, `machines` entries per superstep.
+/// It depends only on the app, the graph and its partition, never on the
+/// machines, so pricing it on another cluster (engine.hpp's price) reproduces
+/// a run there.
+struct WorkTrace {
+  MachineId machines = 0;
+  std::vector<double> ops;
+  std::vector<double> comm_bytes;
+};
+
 struct ExecReport {
   std::string app_name;
   double makespan_seconds = 0.0;   ///< virtual wall-clock of the whole run
@@ -38,6 +49,8 @@ struct ExecReport {
   /// Chronological per-superstep schedule (synchronous apps; empty for
   /// asynchronous execution, which has no barriers to trace).
   std::vector<SuperstepTrace> trace;
+  /// What the app recorded, for re-pricing on other machines.
+  WorkTrace work;
 
   /// Fraction of synchronous supersteps stalled by the given machine.
   double straggler_fraction(MachineId machine) const noexcept;

@@ -17,7 +17,7 @@ std::uint64_t effective_max_degree(const PowerLawConfig& config) {
   std::uint64_t cap = config.max_degree;
   if (cap == 0) {
     cap = config.num_vertices > 1 ? static_cast<std::uint64_t>(config.num_vertices) - 1 : 1;
-    cap = std::min<std::uint64_t>(cap, 1'000'000);
+    cap = std::min(cap, kMaxDegreeSupport);
   }
   return std::max<std::uint64_t>(cap, 1);
 }

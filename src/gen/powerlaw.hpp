@@ -21,7 +21,8 @@ class ThreadPool;
 struct PowerLawConfig {
   VertexId num_vertices = 0;
   double alpha = 2.1;
-  /// Truncation of the degree distribution.  0 = min(num_vertices - 1, 10^6).
+  /// Truncation of the degree distribution.  0 = min(num_vertices - 1,
+  /// kMaxDegreeSupport).
   std::uint64_t max_degree = 0;
   std::uint64_t seed = 42;
   bool allow_self_loops = false;

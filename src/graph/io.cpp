@@ -19,6 +19,17 @@ constexpr std::uint64_t kBinaryMagic = 0x70676c625f656431ull;  // "pglb_ed1"
   throw std::runtime_error(what + ": " + path);
 }
 
+/// Bytes between `in`'s read position and its end; 0 when it cannot seek.
+std::uint64_t bytes_remaining(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here < 0) return 0;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
 int decimal_digits(std::uint64_t v) {
   int digits = 1;
   while (v >= 10) {
@@ -164,7 +175,12 @@ EdgeList read_matrix_market(const std::string& path) {
   if (rows > kInvalidVertex - 1) io_fail("read_matrix_market: vertex id overflow", path);
 
   EdgeList graph(static_cast<VertexId>(rows));
-  graph.reserve(symmetric ? entries * 2 : entries);
+  // Reserve what the header claims, but no more than the rest of the file can
+  // hold: an entry line takes at least 4 bytes ("1 1\n"), so a lying size
+  // line fails below as a truncated list instead of exhausting memory.
+  const std::uint64_t room = (bytes_remaining(in) + 1) / 4;
+  const std::uint64_t reserve = std::min(entries, room);
+  graph.reserve(symmetric ? reserve * 2 : reserve);
   std::uint64_t seen = 0;
   while (seen < entries && std::getline(in, line)) {
     if (line.empty() || line.front() == '%') continue;

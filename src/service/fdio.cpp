@@ -2,7 +2,10 @@
 
 #ifdef __unix__
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +15,15 @@
 #include "service/wire.hpp"
 
 namespace pglb {
+
+int accept_connection(int listener) {
+  const int connection = ::accept(listener, nullptr, nullptr);
+  if (connection >= 0) {
+    const int one = 1;
+    ::setsockopt(connection, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return connection;
+}
 
 FdInStreambuf::FdInStreambuf(int fd, std::uint64_t handshake_timeout_ms,
                              std::uint64_t idle_timeout_ms)

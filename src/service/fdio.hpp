@@ -26,6 +26,13 @@
 
 namespace pglb {
 
+/// accept() one connection on `listener` and set up the new socket for the
+/// serving loop: TCP_NODELAY, because responses are small and a peer that
+/// pipelines requests on one connection (the fleet router) would otherwise
+/// see a finished response held back by Nagle until its delayed ACK, ~40 ms.
+/// Returns the connected fd, or -1 with errno from accept().
+int accept_connection(int listener);
+
 class FdInStreambuf : public std::streambuf {
  public:
   /// Does not own `fd`; the caller closes it after the stream is done.

@@ -63,20 +63,10 @@ double Planner::resolve_proxy_alpha(double alpha, const CancelToken* cancel) {
 
 double Planner::request_alpha(const PlanRequest& request) {
   if (request.alpha) return *request.alpha;
-  const std::string memo_key =
-      std::to_string(request.vertices) + "/" + std::to_string(request.edges);
-  {
-    std::lock_guard<std::mutex> lock(alpha_mutex_);
-    const auto it = alpha_memo_.find(memo_key);
-    if (it != alpha_memo_.end()) return it->second;
-  }
+  PGLB_TRACE_SPAN("planner.alpha", "planner");
   const auto vertices = static_cast<VertexId>(
       std::min<std::uint64_t>(request.vertices, std::numeric_limits<VertexId>::max()));
-  const double alpha = fit_alpha_clamped(vertices, request.edges);
-  std::lock_guard<std::mutex> lock(alpha_mutex_);
-  if (alpha_memo_.size() >= 4096) alpha_memo_.clear();  // crude bound; refit is cheap
-  alpha_memo_.emplace(memo_key, alpha);
-  return alpha;
+  return fit_alpha_clamped(vertices, request.edges);
 }
 
 std::string Planner::profile_key(const PlanRequest& request) {
@@ -114,11 +104,11 @@ ProfileCache::EntryPtr Planner::profile(const std::vector<std::string>& classes,
         static_cast<double>(proxy_stats.num_vertices) / options_.proxy_scale;
     entry->proxy_total_degree = total_degree_histogram(proxy_graph);
     // Distinct class names are distinct specs, so each class is its own
-    // machine group, in class order: the fan-out over the planner's pool
-    // fills per-class slots and the entry is byte-stable at any thread count.
+    // machine group, in class order: one kernel run on the proxy, priced
+    // for each class.
     const std::vector<double> class_seconds =
         profile_groups_on_graph(cluster_from_names(classes), app, proxy_graph,
-                                options_.proxy_scale, &thread_pool(), cancel);
+                                options_.proxy_scale, cancel);
     for (std::size_t i = 0; i < classes.size(); ++i) {
       entry->class_times.emplace_back(classes[i], class_seconds[i]);
     }

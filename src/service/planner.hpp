@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "core/proxy_suite.hpp"
 #include "service/metrics.hpp"
@@ -33,7 +32,7 @@ struct PlannerOptions {
   double proxy_scale = 1.0 / 256.0;
   std::uint64_t proxy_seed = 17;
   std::size_t cache_capacity = 64;
-  /// Worker threads for proxy generation and profiling fan-out.  0 shares the
+  /// Worker threads for proxy generation and delta partition metrics.  0 shares the
   /// process-wide pool (PGLB_THREADS env, default hardware concurrency); > 0
   /// gives this planner its own pool of that size.  Responses are
   /// bit-identical at any setting.
@@ -111,10 +110,8 @@ class Planner {
   /// return its alpha.  Guarded by suite_mutex_.
   double resolve_proxy_alpha(double alpha, const CancelToken* cancel = nullptr);
 
-  /// The request's alpha: given directly, or fitted from (V, E).  The Newton
-  /// solve behind fit_alpha_clamped costs O(support) per iteration, so fitted
-  /// values are memoized per (V, E) — it would otherwise dominate the
-  /// warm-cache path.
+  /// The request's alpha: given directly, or fitted from (V, E).  The fit
+  /// takes a few microseconds, so it is not memoized.
   double request_alpha(const PlanRequest& request);
 
   ProfileCache::EntryPtr profile(const std::vector<std::string>& classes, AppKind app,
@@ -135,9 +132,6 @@ class Planner {
 
   std::mutex suite_mutex_;  ///< guards suite_ (ensure_coverage mutates it)
   ProxySuite suite_;
-
-  std::mutex alpha_mutex_;  ///< guards alpha_memo_
-  std::unordered_map<std::string, double> alpha_memo_;
 
   ProfileCache cache_;
 };

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/registry.hpp"
+#include "gen/powerlaw.hpp"
+#include "graph/stats.hpp"
+#include "machine/catalog.hpp"
 #include "partition/random_hash.hpp"
 #include "partition/weights.hpp"
 #include "test_helpers.hpp"
@@ -250,6 +254,101 @@ TEST(ExecReport, IdleFractionAndSummary) {
   report.per_machine[1].idle_seconds = 2.0;
   EXPECT_NEAR(report.idle_fraction(), 2.0 / 6.0, 1e-12);
   EXPECT_NE(report.summary().find("x"), std::string::npos);
+}
+
+// --- pricing recorded work -----------------------------------------------
+// An app's recorded work depends only on the app, the graph and the
+// partition, so replaying it on other machines must reproduce a real run
+// there bit for bit.
+
+void expect_same_report(const ExecReport& priced, const ExecReport& real) {
+  EXPECT_EQ(priced.app_name, real.app_name);
+  EXPECT_EQ(priced.makespan_seconds, real.makespan_seconds);
+  EXPECT_EQ(priced.total_joules, real.total_joules);
+  EXPECT_EQ(priced.supersteps, real.supersteps);
+  EXPECT_EQ(priced.converged, real.converged);
+  EXPECT_EQ(priced.total_ops, real.total_ops);
+  ASSERT_EQ(priced.per_machine.size(), real.per_machine.size());
+  for (std::size_t m = 0; m < real.per_machine.size(); ++m) {
+    EXPECT_EQ(priced.per_machine[m].compute_seconds, real.per_machine[m].compute_seconds);
+    EXPECT_EQ(priced.per_machine[m].comm_seconds, real.per_machine[m].comm_seconds);
+    EXPECT_EQ(priced.per_machine[m].idle_seconds, real.per_machine[m].idle_seconds);
+    EXPECT_EQ(priced.per_machine[m].ops, real.per_machine[m].ops);
+    EXPECT_EQ(priced.per_machine[m].joules, real.per_machine[m].joules);
+  }
+  ASSERT_EQ(priced.trace.size(), real.trace.size());
+  for (std::size_t s = 0; s < real.trace.size(); ++s) {
+    EXPECT_EQ(priced.trace[s].window_seconds, real.trace[s].window_seconds);
+    EXPECT_EQ(priced.trace[s].exchange_seconds, real.trace[s].exchange_seconds);
+    EXPECT_EQ(priced.trace[s].straggler, real.trace[s].straggler);
+    EXPECT_EQ(priced.trace[s].total_ops, real.trace[s].total_ops);
+  }
+  EXPECT_EQ(priced.work.machines, real.work.machines);
+  EXPECT_EQ(priced.work.ops, real.work.ops);
+  EXPECT_EQ(priced.work.comm_bytes, real.work.comm_bytes);
+}
+
+struct PreparedRun {
+  EdgeList graph{0};
+  WorkloadTraits traits;
+  DistributedGraph dg;
+};
+
+PreparedRun prepare_run(AppKind app, const std::vector<double>& weights) {
+  PowerLawConfig config;
+  config.num_vertices = 2'000;
+  config.alpha = 2.1;
+  config.seed = 7;
+  PreparedRun run{prepare_graph_for(app, generate_powerlaw(config)), {}, {}};
+  run.traits = traits_from_stats(compute_stats(run.graph), 1.0 / 256.0);
+  run.dg = build_distributed(run.graph,
+                             RandomHashPartitioner().partition(run.graph, weights, 3));
+  return run;
+}
+
+TEST(Price, SingleMachineRunPricedOnEveryTypeMatchesARealRun) {
+  const std::vector<double> weights{1.0};
+  for (const AppKind app : all_app_kinds()) {
+    SCOPED_TRACE(to_string(app));
+    const PreparedRun run = prepare_run(app, weights);
+    const Cluster base{std::vector<MachineSpec>{machine_by_name("xeon_server_s")}};
+    const ExecReport recorded = run_app(app, run.graph, run.dg, base, run.traits).report;
+    ASSERT_EQ(recorded.work.machines, 1u);
+    ASSERT_EQ(recorded.work.ops.size(), static_cast<std::size_t>(recorded.supersteps));
+    for (const MachineSpec& spec : table1_machines()) {
+      SCOPED_TRACE(spec.name);
+      const Cluster other{std::vector<MachineSpec>{spec}};
+      expect_same_report(price(recorded, other, profile_for(app), run.traits),
+                         run_app(app, run.graph, run.dg, other, run.traits).report);
+    }
+  }
+}
+
+TEST(Price, MixedClusterReplayMatchesARealRun) {
+  const std::vector<double> weights{0.1, 0.2, 0.3, 0.4};
+  const Cluster recorded_on({machine_by_name("xeon_server_s"), machine_by_name("c4.xlarge"),
+                             machine_by_name("m4.2xlarge"), machine_by_name("xeon_server_l")});
+  const Cluster priced_on({machine_by_name("c4.8xlarge"), machine_by_name("r3.2xlarge"),
+                           machine_by_name("xeon_server_s"), machine_by_name("c4.2xlarge")});
+  for (const AppKind app : all_app_kinds()) {
+    SCOPED_TRACE(to_string(app));
+    const PreparedRun run = prepare_run(app, weights);
+    const ExecReport recorded =
+        run_app(app, run.graph, run.dg, recorded_on, run.traits).report;
+    expect_same_report(price(recorded, priced_on, profile_for(app), run.traits),
+                       run_app(app, run.graph, run.dg, priced_on, run.traits).report);
+  }
+}
+
+TEST(Price, RejectsAClusterOfAnotherSize) {
+  const Cluster pair = testing::case2_cluster();
+  VirtualClusterExecutor exec(pair, profile_for(AppKind::kPageRank), traits());
+  const std::vector<double> ops = {1e9, 1e9};
+  exec.record_superstep(ops, ops);
+  const ExecReport run = exec.finish("test", true);
+  const Cluster solo{std::vector<MachineSpec>{machine_by_name("c4.xlarge")}};
+  EXPECT_THROW(price(run, solo, profile_for(AppKind::kPageRank), traits()),
+               std::invalid_argument);
 }
 
 }  // namespace

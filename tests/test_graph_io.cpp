@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "gen/erdos_renyi.hpp"
 #include "test_helpers.hpp"
@@ -157,6 +158,25 @@ TEST_F(GraphIoTest, MatrixMarketRejectsBadInputs) {
     out << "%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n";
   }
   EXPECT_THROW(read_matrix_market(truncated), std::runtime_error);
+}
+
+TEST_F(GraphIoTest, MatrixMarketSizeLineCannotOverReserve) {
+  // A size line claiming 10^12 entries over a one-entry file used to reserve
+  // from the header and die with std::bad_alloc; the reservation is bounded
+  // by the file, so the read fails as the truncated list it is.
+  const auto path = temp_path("huge_claim.mtx");
+  {
+    std::ofstream out(path);
+    out << "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1000000000000\n1 2\n";
+  }
+  try {
+    (void)read_matrix_market(path);
+    FAIL() << "a truncated entry list must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("read_matrix_market: truncated entry list"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(GraphIoTest, TextReaderSniffsMatrixMarketBanner) {

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/registry.hpp"
+#include "service/metrics.hpp"
 #include "service/planner.hpp"
 #include "service/profile_cache.hpp"
 
@@ -307,6 +309,28 @@ TEST(PlannerCache, PlanFieldsAreConsistent) {
   EXPECT_GT(response.energy_joules, 0.0);
   EXPECT_GT(response.cost_usd, 0.0);
   EXPECT_EQ(response.partitioner, "hybrid");
+}
+
+TEST(PlannerCache, ColdPlanRunsTheKernelOnceAndPricesEachClass) {
+  // A profile miss runs the app kernel on the proxy once and prices that
+  // work for every machine class: engine.app_runs counts kernel runs,
+  // profiler.cells and the service's profile_runs count priced cells.
+  ServiceMetrics metrics;
+  Planner planner(tiny_options(), &metrics);
+  PlanRequest request = basic_request();
+  request.app = AppKind::kColoring;
+  request.machines = {"m4.2xlarge", "c4.2xlarge", "r3.2xlarge", "c4.xlarge"};
+  const Registry& registry = global_registry();
+  const std::uint64_t app_runs = registry.counter("engine.app_runs");
+  const std::uint64_t cells = registry.counter("profiler.cells");
+  ASSERT_TRUE(planner.plan(request).ok);
+  EXPECT_EQ(registry.counter("engine.app_runs") - app_runs, 1u);
+  EXPECT_EQ(registry.counter("profiler.cells") - cells, 4u);
+  EXPECT_EQ(metrics.counter("profile_runs"), 4u);
+
+  ASSERT_TRUE(planner.plan(request).ok);  // a hit runs and prices nothing
+  EXPECT_EQ(registry.counter("engine.app_runs") - app_runs, 1u);
+  EXPECT_EQ(registry.counter("profiler.cells") - cells, 4u);
 }
 
 }  // namespace

@@ -20,12 +20,15 @@
 #include "service/wire.hpp"
 
 #ifdef __unix__
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <ext/stdio_filebuf.h>  // libstdc++: iostream over a file descriptor
 
 #include "fleet/tcp_backend.hpp"
+#include "service/fdio.hpp"
 #endif
 
 namespace pglb {
@@ -295,6 +298,34 @@ TEST(WireServerIntegration, BinaryBackendRoundTripsByteIdentical) {
   serving.join();
   EXPECT_EQ(metrics.counter("wire.binary_upgrades"), 1u);
   EXPECT_EQ(metrics.counter("requests_total"), 8u);
+}
+
+TEST(WireServerIntegration, AcceptedConnectionsDisableNagle) {
+  // The router pipelines frames over one connection per replica: without
+  // TCP_NODELAY a response finished behind an unacknowledged one waits for
+  // the peer's delayed ACK.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t length = sizeof(address);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&address), sizeof(address)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&address), &length), 0);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&address), sizeof(address)), 0);
+
+  const int connection = accept_connection(listener);
+  ASSERT_GE(connection, 0);
+  int nodelay = 0;
+  socklen_t size = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(connection, IPPROTO_TCP, TCP_NODELAY, &nodelay, &size), 0);
+  EXPECT_EQ(nodelay, 1);
+  ::close(connection);
+  ::close(client);
+  ::close(listener);
 }
 
 TEST(WireServerIntegration, HandshakeDeadlineCutsOffASilentPeer) {

@@ -737,6 +737,25 @@ LoadReport run_against_router(const SpawnOptions& spawn_options, std::size_t req
       run.restart_at_pct > 0 && run.restart_at_pct < 100
           ? requests * run.restart_at_pct / 100
           : requests;
+  // A request numbered after an event waits until that event has finished,
+  // so the kill and the restart land at their place in the request stream
+  // however fast the other clients' requests are served.
+  std::mutex event_mutex;
+  std::condition_variable event_done;
+  bool killed = kill_at >= requests, restarted = restart_at >= requests;
+  const auto await_events_before = [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(event_mutex);
+    event_done.wait(lock, [&] {
+      return (i <= kill_at || killed) && (i <= restart_at || restarted);
+    });
+  };
+  const auto finish_event = [&](bool& flag) {
+    {
+      const std::lock_guard<std::mutex> lock(event_mutex);
+      flag = true;
+    }
+    event_done.notify_all();
+  };
 
   // Diurnal wave: open-loop send times along a half-sine peaking at
   // wave_peak_qps mid-run, floored at 5% of peak so the tail still drains.
@@ -762,23 +781,30 @@ LoadReport run_against_router(const SpawnOptions& spawn_options, std::size_t req
       while (true) {
         const std::size_t i = next.fetch_add(1);
         if (i >= requests) return;
-        if (i == kill_at && fleet_size > 1) {
-          // Default: hard failure, not a drain — SIGKILL mid-connection.
-          // The router sees BackendError, marks b0 down, and fails over.
-          // --kill-mode=term sends SIGTERM instead: the graceful drain,
-          // which lets a --snapshot-dir backend save its warm state.
-          fleet.stop_replica(0, run.kill_term ? SIGTERM : SIGKILL);
-          std::cerr << ("loadgen: " +
-                        std::string(run.kill_term ? "terminated" : "killed") +
-                        " backend b0 at request " + std::to_string(i) + "\n");
+        await_events_before(i);
+        if (i == kill_at) {
+          if (fleet_size > 1) {
+            // Default: hard failure, not a drain — SIGKILL mid-connection.
+            // The router sees BackendError, marks b0 down, and fails over.
+            // --kill-mode=term sends SIGTERM instead: the graceful drain,
+            // which lets a --snapshot-dir backend save its warm state.
+            fleet.stop_replica(0, run.kill_term ? SIGTERM : SIGKILL);
+            std::cerr << ("loadgen: " +
+                          std::string(run.kill_term ? "terminated" : "killed") +
+                          " backend b0 at request " + std::to_string(i) + "\n");
+          }
+          finish_event(killed);
         }
-        if (i == restart_at && fleet_size > 1 && fleet.pid(0) < 0) {
-          // Back in the rotation at once: the restart marks b0 up instead
-          // of leaving it to the prober's backoff window.
-          fleet.restart_replica(0);
-          report.b0_restarted = true;
-          std::cerr << ("loadgen: restarted backend b0 at request " +
-                        std::to_string(i) + "\n");
+        if (i == restart_at) {
+          if (fleet_size > 1 && fleet.pid(0) < 0) {
+            // Back in the rotation at once: the restart marks b0 up instead
+            // of leaving it to the prober's backoff window.
+            fleet.restart_replica(0);
+            report.b0_restarted = true;
+            std::cerr << ("loadgen: restarted backend b0 at request " +
+                          std::to_string(i) + "\n");
+          }
+          finish_event(restarted);
         }
         if (!send_at.empty()) {
           // Open-loop pacing: hold this slot until the wave schedule says

@@ -14,7 +14,7 @@
 // fixed port range.
 //
 // --threads is the number of concurrent request workers; --pool-threads sizes
-// the planner's compute pool for proxy generation and profiling fan-out
+// the planner's compute pool for proxy generation and metric reductions
 // (0 = the process-wide pool, PGLB_THREADS env overrides its size).  Plans
 // are bit-identical at any thread setting.
 //
@@ -69,6 +69,8 @@
 
 #include <cstring>
 #include <ext/stdio_filebuf.h>  // libstdc++: iostream over a file descriptor
+
+#include "service/fdio.hpp"
 #endif
 
 using namespace pglb;
@@ -233,7 +235,7 @@ int serve_socket(PlanServer& server, int port, const std::string& port_file) {
   install_stop_handlers();
   std::cerr << "pglb_serve: listening on 127.0.0.1:" << port << "\n";
   while (true) {
-    const int connection = ::accept(listener, nullptr, nullptr);
+    const int connection = accept_connection(listener);
     if (g_stop) {
       if (connection >= 0) ::close(connection);
       break;
