@@ -115,20 +115,24 @@ void FleetRegistry::record_failure(std::size_t index) {
 bool FleetRegistry::record_latency(std::size_t index, double elapsed_ms) {
   std::lock_guard<std::mutex> lock(mutex_);
   Health& h = health_[index];
-  h.ewma_ms = h.latency_samples == 0
-                  ? elapsed_ms
-                  : h.ewma_ms + options_.latency_ewma_alpha * (elapsed_ms - h.ewma_ms);
+  const std::uint64_t window = std::max<std::uint64_t>(options_.straggler_min_samples, 1);
+  if (h.recent.size() < window) {
+    h.recent.push_back(elapsed_ms);
+  } else {
+    h.recent[h.latency_samples % window] = elapsed_ms;
+  }
+  h.floor_ms = *std::min_element(h.recent.begin(), h.recent.end());
   ++h.latency_samples;
   if (h.latency_samples < options_.straggler_min_samples) return false;
 
-  // Judge against the median of the PEERS' EWMAs (self excluded, so one slow
+  // Judge against the median of the PEERS' floors (self excluded, so one slow
   // backend cannot drag the yardstick toward itself), each peer mature.
   std::vector<double> peers;
   peers.reserve(health_.size());
   for (std::size_t i = 0; i < health_.size(); ++i) {
     if (i == index) continue;
     if (health_[i].latency_samples >= options_.straggler_min_samples) {
-      peers.push_back(health_[i].ewma_ms);
+      peers.push_back(health_[i].floor_ms);
     }
   }
   if (peers.empty()) return false;
@@ -137,11 +141,11 @@ bool FleetRegistry::record_latency(std::size_t index, double elapsed_ms) {
   const double median = *mid;
   if (median <= 0.0) return false;
 
-  if (!h.degraded && h.ewma_ms > options_.straggler_factor * median) {
+  if (!h.degraded && h.floor_ms > options_.straggler_factor * median) {
     h.degraded = true;
     return true;
   }
-  if (h.degraded && h.ewma_ms < options_.straggler_recovery_factor * median) {
+  if (h.degraded && h.floor_ms < options_.straggler_recovery_factor * median) {
     h.degraded = false;
   }
   return false;
@@ -185,7 +189,7 @@ BackendStatus FleetRegistry::status(std::size_t index) const {
   return {names_[index],          weights_[index], h.state,
           h.consecutive_failures, h.not_before_ms, h.successes,
           h.failures,             h.inflight,      h.queue_depth,
-          h.degraded,             h.ewma_ms,       h.latency_samples};
+          h.degraded,             h.floor_ms,      h.latency_samples};
 }
 
 std::string FleetRegistry::status_json() const {
@@ -212,8 +216,8 @@ std::string FleetRegistry::status_json() const {
     append_json_number(out, static_cast<double>(h.queue_depth));
     out += ",\"degraded\":";
     out += h.degraded ? "true" : "false";
-    out += ",\"ewma_ms\":";
-    append_json_number(out, h.ewma_ms);
+    out += ",\"floor_ms\":";
+    append_json_number(out, h.floor_ms);
     out.push_back('}');
   }
   out.push_back(']');

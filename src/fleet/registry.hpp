@@ -55,23 +55,25 @@ struct FleetOptions {
   // --- straggler detection (docs/CHAOS.md) ---------------------------------
   // A chronically slow backend on a degraded link answers every request and
   // so never goes down — but routing to it at full weight drags tail latency.
-  // record_latency() keeps a per-backend EWMA; a backend whose EWMA exceeds
-  // straggler_factor × the median of its peers' EWMAs is marked *degraded*:
+  // record_latency() keeps a per-backend latency floor: the fastest of its
+  // last straggler_min_samples latencies.  A slow link raises every sample
+  // and so the floor; a cache-miss plan or a scheduling hiccup raises one
+  // sample and leaves it alone.  A backend whose floor exceeds
+  // straggler_factor × the median of its peers' floors is marked *degraded*:
   // still up, still probed, but its rendezvous weight is multiplied by
   // straggler_weight_factor so it wins proportionally fewer keys.  Recovery
-  // (EWMA back under straggler_recovery_factor × median) restores the weight
+  // (floor back under straggler_recovery_factor × median) restores the weight
   // — the gap between the two factors is the hysteresis that stops flapping.
 
-  /// Degrade threshold: EWMA > factor × peer median.
+  /// Degrade threshold: floor > factor × peer median.
   double straggler_factor = 4.0;
-  /// Recover threshold: EWMA < factor × peer median.  Must be < straggler_factor.
+  /// Recover threshold: floor < factor × peer median.  Must be < straggler_factor.
   double straggler_recovery_factor = 2.0;
-  /// Samples a backend (and each peer consulted) needs before judgments.
+  /// Samples a backend (and each peer consulted) needs before judgments;
+  /// also the window the latency floor is taken over.
   std::uint64_t straggler_min_samples = 8;
   /// Rendezvous weight multiplier while degraded.
   double straggler_weight_factor = 0.25;
-  /// EWMA smoothing: new = old + alpha × (sample − old).
-  double latency_ewma_alpha = 0.2;
 };
 
 /// Point-in-time health of one backend, as reported by status_json().
@@ -86,7 +88,7 @@ struct BackendStatus {
   std::uint64_t inflight = 0;       ///< router attempts launched, not harvested
   std::uint64_t queue_depth = 0;    ///< last depth a shed response reported
   bool degraded = false;            ///< straggler: weight-decayed, still up
-  double ewma_ms = 0.0;             ///< smoothed end-to-end latency
+  double floor_ms = 0.0;            ///< fastest recent end-to-end latency
   std::uint64_t latency_samples = 0;
 };
 
@@ -130,7 +132,7 @@ class FleetRegistry {
   void record_failure(std::size_t index);
 
   /// One observed end-to-end latency for a harvested response from `index`.
-  /// Feeds the straggler EWMA (see FleetOptions); returns true exactly when
+  /// Feeds the straggler floor (see FleetOptions); returns true exactly when
   /// this sample flipped the backend to degraded (the router counts those).
   bool record_latency(std::size_t index, double elapsed_ms);
 
@@ -168,7 +170,8 @@ class FleetRegistry {
     std::uint64_t inflight = 0;
     std::uint64_t queue_depth = 0;
     bool degraded = false;
-    double ewma_ms = 0.0;
+    std::vector<double> recent;  ///< ring of the last straggler_min_samples
+    double floor_ms = 0.0;       ///< min of `recent`
     std::uint64_t latency_samples = 0;
   };
 

@@ -225,7 +225,7 @@ TEST(FleetRegistryHealth, StatusJsonIsDeterministic) {
             "[{\"name\":\"b0\",\"state\":\"down\",\"weight\":2,"
             "\"successes\":0,\"failures\":1,\"consecutive_failures\":1,"
             "\"inflight\":0,\"queue_depth\":0,"
-            "\"degraded\":false,\"ewma_ms\":0}]");
+            "\"degraded\":false,\"floor_ms\":0}]");
 }
 
 // --- straggler detection (docs/CHAOS.md) ------------------------------------
@@ -259,7 +259,7 @@ TEST(FleetRegistryStragglers, DegradeDecaysWeightAndRecoveryRestoresIt) {
   EXPECT_DOUBLE_EQ(degraded.weights[2], 0.25);
   EXPECT_NE(fleet.status_json().find("\"degraded\":true"), std::string::npos);
 
-  // The link heals: the EWMA sinks back under the recovery threshold and the
+  // The link heals: the floor sinks back under the recovery threshold and the
   // full weight comes back.
   for (int i = 0; i < 64 && fleet.status(2).degraded; ++i) {
     fleet.record_latency(0, 10.0);
@@ -268,6 +268,35 @@ TEST(FleetRegistryStragglers, DegradeDecaysWeightAndRecoveryRestoresIt) {
   }
   EXPECT_FALSE(fleet.status(2).degraded);
   EXPECT_DOUBLE_EQ(fleet.membership().weights[2], 1.0);
+}
+
+TEST(FleetRegistryStragglers, IsolatedSlowAnswersDoNotDegrade) {
+  FleetRegistry fleet;  // default options: judged over the last 8 samples
+  fleet.add(std::make_shared<NullBackend>("b0"));
+  fleet.add(std::make_shared<NullBackend>("b1"));
+  for (int i = 0; i < 16; ++i) {
+    fleet.record_latency(0, 0.3);
+    fleet.record_latency(1, 0.3);
+  }
+
+  // Cache hits answer in 0.3 ms; every fourth request to b1 is a 40 ms
+  // cache-miss plan.  Its link is as fast as b0's, so it keeps its weight.
+  for (int i = 0; i < 64; ++i) {
+    fleet.record_latency(0, 0.3);
+    EXPECT_FALSE(fleet.record_latency(1, i % 4 == 0 ? 40.0 : 0.3)) << "sample " << i;
+  }
+  EXPECT_FALSE(fleet.status(1).degraded);
+  EXPECT_DOUBLE_EQ(fleet.status(1).floor_ms, 0.3);
+
+  // A 25 ms link slows every answer: degraded once a full window is slow.
+  bool flipped = false;
+  for (int i = 0; i < 8; ++i) {
+    fleet.record_latency(0, 0.3);
+    flipped = fleet.record_latency(1, 25.3) || flipped;
+  }
+  EXPECT_TRUE(flipped);
+  EXPECT_TRUE(fleet.status(1).degraded);
+  EXPECT_DOUBLE_EQ(fleet.membership().weights[1], 0.25);
 }
 
 TEST(FleetRegistryStragglers, JudgmentsWaitForSamplesAndRespectHysteresis) {
