@@ -29,6 +29,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
            test_fleet test_fleet_resilience test_autoscale test_replica_fleet \
            test_wire_server test_tcp_backend test_persist \
            test_wire test_netfault test_dynamic test_dynamic_protocol \
+           test_proxy_suite test_planner_cache \
            test_time_database test_profiler test_estimators \
            pglb_chaos pglb_loadgen pglb_serve
 ctest --test-dir "$BUILD_DIR" -L 'tsan|fault' --output-on-failure -j"$(nproc)"

@@ -1,7 +1,7 @@
 #include "core/proxy_suite.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "gen/powerlaw.hpp"
@@ -12,6 +12,40 @@
 #include "util/thread_pool.hpp"
 
 namespace pglb {
+
+namespace {
+
+/// Index of the stock (Table II) proxy nearest `alpha`; ties go to the first.
+std::size_t nearest_stock(double alpha) {
+  const auto stock = synthetic_graph_entries();
+  return static_cast<std::size_t>(
+      std::min_element(stock.begin(), stock.end(), [&](const auto& a, const auto& b) {
+        return std::abs(a.paper_alpha - alpha) < std::abs(b.paper_alpha - alpha);
+      }) - stock.begin());
+}
+
+double stock_alpha(double alpha) {
+  return synthetic_graph_entries()[nearest_stock(alpha)].paper_alpha;
+}
+
+bool stock_covers(double alpha) {
+  return std::abs(stock_alpha(alpha) - alpha) <= ProxySuite::kCoverageMargin;
+}
+
+}  // namespace
+
+double proxy_alpha_for(double alpha) {
+  if (std::isnan(alpha)) throw std::invalid_argument("proxy_alpha_for: alpha is NaN");
+  if (stock_covers(alpha)) return stock_alpha(alpha);
+  constexpr double kStep = ProxySuite::kCoverageMargin;
+  double point = std::clamp(std::round(alpha / kStep) * kStep,
+                            ProxySuite::kMinLatticeAlpha, ProxySuite::kMaxLatticeAlpha);
+  // The nearest multiple can lie inside a stock margin (2.6 rounds to 2.5,
+  // which 2.3 covers): step on the way alpha lies, away from the stock proxy,
+  // so every lattice answer is a fixed point.
+  while (stock_covers(point)) point += alpha < point ? -kStep : kStep;
+  return point;
+}
 
 ProxySuite::ProxySuite(double scale, std::uint64_t seed, ThreadPool* pool)
     : scale_(scale), seed_(seed) {
@@ -59,35 +93,26 @@ ProxySuite::Proxy ProxySuite::make_proxy(double alpha, std::uint64_t seed,
   return proxy;
 }
 
-void ProxySuite::add_proxy(double alpha, const CancelToken* cancel) {
-  const Stopwatch timer;
-  proxies_.push_back(make_proxy(alpha, seed_ + proxies_.size(), nullptr, cancel));
-  generation_seconds_ += timer.seconds();
-}
-
 const ProxySuite::Proxy& ProxySuite::nearest(double alpha) const {
-  if (proxies_.empty()) throw std::logic_error("ProxySuite: no proxies");
-  const Proxy* best = nullptr;
-  double best_gap = std::numeric_limits<double>::infinity();
-  for (const Proxy& p : proxies_) {
-    const double gap = std::abs(p.alpha - alpha);
-    if (gap < best_gap) {
-      best = &p;
-      best_gap = gap;
-    }
-  }
-  return *best;
+  return proxies_.at(nearest_stock(alpha));
 }
 
-const ProxySuite::Proxy& ProxySuite::ensure_coverage(double alpha,
-                                                     const CancelToken* cancel) {
-  double best_gap = std::numeric_limits<double>::infinity();
-  for (const Proxy& p : proxies_) best_gap = std::min(best_gap, std::abs(p.alpha - alpha));
-  if (best_gap > kCoverageMargin) {
-    add_proxy(alpha, cancel);
-    return proxies_.back();
+const ProxySuite::Proxy& ProxySuite::proxy(double proxy_alpha, const CancelToken* cancel) {
+  if (proxy_alpha_for(proxy_alpha) != proxy_alpha) {
+    throw std::invalid_argument("ProxySuite::proxy: " + std::to_string(proxy_alpha) +
+                                " is neither a stock nor a lattice alpha");
   }
-  return nearest(alpha);
+  if (stock_covers(proxy_alpha)) return nearest(proxy_alpha);
+  const auto index = static_cast<long>(proxy_alpha / kCoverageMargin);
+  const std::lock_guard<std::mutex> lock(lattice_mutex_);
+  auto it = lattice_.find(index);
+  if (it == lattice_.end()) {
+    const Stopwatch timer;
+    it = lattice_.emplace(index, make_proxy(proxy_alpha, shard_seed(seed_, index), nullptr,
+                                            cancel)).first;
+    generation_seconds_ += timer.seconds();
+  }
+  return it->second;
 }
 
 }  // namespace pglb

@@ -25,8 +25,12 @@ class ThreadPool;
 
 class VirtualClusterExecutor {
  public:
+  /// Keeps pointers to `cluster` and `app`: both must outlive the executor,
+  /// so temporaries are rejected at compile time.
   VirtualClusterExecutor(const Cluster& cluster, const AppProfile& app,
                          const WorkloadTraits& traits);
+  VirtualClusterExecutor(Cluster&&, const AppProfile&, const WorkloadTraits&) = delete;
+  VirtualClusterExecutor(const Cluster&, AppProfile&&, const WorkloadTraits&) = delete;
 
   /// Sustained work-units/second of machine m for this app/workload
   /// (nominal, without interference).

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "core/proxy_suite.hpp"
-#include "core/time_database.hpp"
-#include "gen/alpha_solver.hpp"
+#include "service/profile_key.hpp"
 #include "service/protocol.hpp"
 #include "util/hash.hpp"
 
 namespace pglb {
-
-namespace {
-
-/// Table II proxy alphas — the suite every backend deploys at startup
-/// (core/proxy_suite.cpp seeds exactly these three).
-constexpr double kSuiteAlphas[] = {1.95, 2.1, 2.3};
-
-}  // namespace
 
 std::uint64_t hash_bytes(std::string_view text) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
@@ -29,51 +18,13 @@ std::uint64_t hash_bytes(std::string_view text) noexcept {
   return h;
 }
 
-double routing_proxy_alpha(double alpha) noexcept {
-  double best = kSuiteAlphas[0];
-  double best_gap = std::numeric_limits<double>::infinity();
-  for (const double suite_alpha : kSuiteAlphas) {
-    const double gap = std::abs(alpha - suite_alpha);
-    if (gap < best_gap) {
-      best = suite_alpha;
-      best_gap = gap;
-    }
-  }
-  return best_gap <= ProxySuite::kCoverageMargin ? best : alpha;
-}
-
 std::string routing_key(const PlanRequest& request) {
   // Delta requests are STATEFUL: every delta for a base must land on the
   // replica holding that base's live graph and scorer state, so they route
-  // by base name alone (docs/DYNAMIC.md) — not by the profile-key mirror,
-  // which would scatter a base's stream as its creation parameters are
-  // omitted on updates.
+  // by base name alone (docs/DYNAMIC.md) — updates omit the creation
+  // parameters a profile key needs.
   if (request.type == RequestType::kDelta) return "dyn|" + request.base;
-  // Same shape as Planner::profile_key(): sorted+deduped classes, app name,
-  // canonical proxy alpha.
-  std::vector<std::string> classes = request.machines;
-  std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  std::string key;
-  for (const std::string& c : classes) {
-    if (!key.empty()) key.push_back('+');
-    key += c;
-  }
-  key.push_back('|');
-  key += to_string(request.app);
-  key.push_back('|');
-  double alpha;
-  if (request.alpha) {
-    alpha = *request.alpha;
-  } else if (request.vertices > 0 && request.edges > 0) {
-    const auto vertices = static_cast<VertexId>(std::min<std::uint64_t>(
-        request.vertices, std::numeric_limits<VertexId>::max()));
-    alpha = fit_alpha_clamped(vertices, request.edges);
-  } else {
-    alpha = 0.0;  // metrics requests carry no graph; key is still stable
-  }
-  key += canonical_alpha(routing_proxy_alpha(alpha));
-  return key;
+  return ProfileKey::of(request).encode();
 }
 
 std::vector<std::size_t> rank_backends(std::string_view key,

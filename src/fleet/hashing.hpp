@@ -3,11 +3,9 @@
 //
 // Two pieces:
 //
-//  1. routing_key(request): a pure mirror of the planner's profile-cache key
-//     (classes|app|alpha).  Requests that would share a profile-cache entry on
-//     a backend produce the same routing key, so sending equal keys to the
-//     same backend concentrates cache hits instead of spraying the same
-//     profile across the fleet.
+//  1. routing_key(request): the request's ProfileKey, so requests that share
+//     a backend's profile-cache entry share a routing key, and land where
+//     that entry is instead of spraying one profile across the fleet.
 //
 //  2. rank_backends(key, names, weights): weighted rendezvous (highest random
 //     weight) hashing.  Every (key, backend) pair gets an independent hash;
@@ -33,19 +31,9 @@ struct PlanRequest;
 /// rendezvous scores must not depend on std::hash).
 std::uint64_t hash_bytes(std::string_view text) noexcept;
 
-/// The proxy alpha a backend will resolve this request alpha to, assuming the
-/// stock Table II suite: the nearest of {1.95, 2.1, 2.3} when within
-/// ProxySuite::kCoverageMargin, otherwise `alpha` itself (the backend would
-/// generate an on-demand proxy at exactly that alpha).  Pure — it cannot see
-/// on-demand proxies a backend grew at runtime, so two out-of-range alphas
-/// within the margin of each other may key apart here while colliding on the
-/// backend.  That costs a cache hit, never correctness.
-double routing_proxy_alpha(double alpha) noexcept;
-
-/// Mirror of Planner::profile_key(): "class1+class2|app|alpha" with classes
-/// sorted and deduplicated, alpha in canonical_alpha() form after
-/// routing_proxy_alpha().  Metrics requests (no machines/app constraints
-/// enforced by the parser) still produce a stable key.
+/// ProfileKey::of(request).encode(), or "dyn|<base>" for a delta request.
+/// Throws std::invalid_argument when there is no alpha to fit (a metrics
+/// request); the router then keys the line on its raw bytes.
 std::string routing_key(const PlanRequest& request);
 
 /// Rendezvous ranking: all backend indices ordered best-first for `key`.

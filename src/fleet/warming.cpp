@@ -1,10 +1,7 @@
 #include "fleet/warming.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <future>
 #include <map>
 #include <utility>
@@ -13,8 +10,8 @@
 #include "fleet/backend.hpp"
 #include "fleet/hashing.hpp"
 #include "fleet/registry.hpp"
-#include "machine/app_profile.hpp"
 #include "obs/registry.hpp"
+#include "service/profile_key.hpp"
 #include "service/protocol.hpp"
 
 namespace pglb {
@@ -23,53 +20,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Split keeping empty fields, so malformed keys ("a++b", "|app|2.1") are
-/// detectable rather than silently collapsed.
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      fields.push_back(text.substr(start));
-      return fields;
-    }
-    fields.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 }  // namespace
-
-std::optional<PlanRequest> plan_request_from_profile_key(const std::string& key) {
-  const std::vector<std::string> fields = split(key, '|');
-  if (fields.size() != 3) return std::nullopt;
-
-  PlanRequest request;
-  request.machines = split(fields[0], '+');
-  for (const std::string& machine : request.machines) {
-    if (machine.empty()) return std::nullopt;
-  }
-
-  const std::optional<AppKind> app = try_app_from_name(fields[1]);
-  if (!app) return std::nullopt;
-  request.app = *app;
-
-  // The alpha field is canonical_alpha() output — a plain finite decimal.
-  // Anything strtod does not consume whole, and any alpha outside the
-  // power-law domain (must exceed 1), marks the key as not ours.
-  const std::string& alpha_text = fields[2];
-  if (alpha_text.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const double alpha = std::strtod(alpha_text.c_str(), &end);
-  if (errno != 0 || end != alpha_text.c_str() + alpha_text.size() ||
-      !std::isfinite(alpha) || alpha <= 1.0) {
-    return std::nullopt;
-  }
-  request.alpha = alpha;
-  return request;
-}
 
 WarmReport warm_replica(FleetRegistry& fleet, std::size_t newcomer,
                         const WarmingOptions& options,
@@ -141,17 +92,18 @@ WarmReport warm_replica(FleetRegistry& fleet, std::size_t newcomer,
   // the newcomer's single-flight cache profiles them before real traffic.
   std::vector<std::future<std::string>> prefetches;
   for (std::size_t n = 0; n < owned.size(); ++n) {
-    std::optional<PlanRequest> request = plan_request_from_profile_key(owned[n].first);
-    if (!request) {
+    const std::optional<ProfileKey> key = ProfileKey::parse(owned[n].first);
+    if (!key) {
       ++report.keys_failed;
       continue;
     }
-    request->id = "warm-key-" + std::to_string(n);
+    PlanRequest request = key->request();
+    request.id = "warm-key-" + std::to_string(n);
     if (options.prefetch_timeout_ms > 0) {
-      request->timeout_ms = options.prefetch_timeout_ms;
+      request.timeout_ms = options.prefetch_timeout_ms;
     }
     try {
-      prefetches.push_back(target->submit(serialize_request(*request)));
+      prefetches.push_back(target->submit(serialize_request(request)));
     } catch (const std::exception&) {
       ++report.keys_failed;
     }

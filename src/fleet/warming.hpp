@@ -9,9 +9,10 @@
 //      keys (the warm_keys protocol request, bounded per peer);
 //   2. keep only the keys the fleet's weighted rendezvous ranking assigns to
 //      the newcomer — warming keys it will never be routed is wasted work;
-//   3. replay each surviving key as a plan request against the newcomer
-//      (hottest first, bounded count, per-request deadline), so its
-//      single-flight cache profiles them before real traffic arrives.
+//   3. replay each surviving key as ProfileKey::request() against the
+//      newcomer (hottest first, bounded count, per-request deadline), so its
+//      single-flight cache recreates the peer's entries byte for byte before
+//      real traffic arrives.  Keys ProfileKey::parse() rejects are skipped.
 //
 // Every step is deadline-guarded and failure-tolerant: a peer that times out
 // or answers garbage contributes nothing, a prefetch that fails is counted
@@ -20,12 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 
 namespace pglb {
 
-struct PlanRequest;
 class FleetRegistry;
 class Registry;
 
@@ -51,13 +49,6 @@ struct WarmReport {
   std::size_t keys_warmed = 0;     ///< prefetch plans that came back ok
   std::size_t keys_failed = 0;     ///< prefetches that errored or timed out
 };
-
-/// Invert Planner::profile_key(): "class1+class2|app|alpha" back into a plan
-/// request (machines = the classes, alpha as given, no graph size — the
-/// planner estimates at proxy scale).  Profiling this request on a replica
-/// recreates exactly the cache entry the key names.  Returns nullopt for
-/// anything that does not parse as a well-formed profile key.
-std::optional<PlanRequest> plan_request_from_profile_key(const std::string& key);
 
 /// Run one warming pass for fleet member `newcomer`.  Never throws; a fleet
 /// of one (or an out-of-range index) is a no-op report.  Increments the

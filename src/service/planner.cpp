@@ -1,15 +1,12 @@
 #include "service/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "cluster/cluster.hpp"
 #include "core/ccr.hpp"
 #include "core/profiler.hpp"
-#include "core/time_database.hpp"
 #include "cost/cost_model.hpp"
-#include "gen/alpha_solver.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "partition/replication_model.hpp"
@@ -27,24 +24,6 @@ Planner::Planner(PlannerOptions options, ServiceMetrics* metrics)
 
 namespace {
 
-/// Sorted, deduplicated machine-class names — the cluster-composition-free
-/// identity the profile cache keys on.
-std::vector<std::string> machine_classes(const std::vector<std::string>& machines) {
-  std::vector<std::string> classes = machines;
-  std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  return classes;
-}
-
-std::string join_classes(const std::vector<std::string>& classes) {
-  std::string out;
-  for (const std::string& c : classes) {
-    if (!out.empty()) out.push_back('+');
-    out += c;
-  }
-  return out;
-}
-
 /// Paper guidance (Fig. 9): the high-degree-aware streaming cuts win on
 /// power-law graphs; a single machine needs no vertex cut at all.
 PartitionerKind recommend_partitioner(const PlanRequest& request,
@@ -56,64 +35,34 @@ PartitionerKind recommend_partitioner(const PlanRequest& request,
 
 }  // namespace
 
-double Planner::resolve_proxy_alpha(double alpha, const CancelToken* cancel) {
-  std::lock_guard<std::mutex> lock(suite_mutex_);
-  return suite_.ensure_coverage(alpha, cancel).alpha;
-}
-
-double Planner::request_alpha(const PlanRequest& request) {
-  if (request.alpha) return *request.alpha;
-  PGLB_TRACE_SPAN("planner.alpha", "planner");
-  const auto vertices = static_cast<VertexId>(
-      std::min<std::uint64_t>(request.vertices, std::numeric_limits<VertexId>::max()));
-  return fit_alpha_clamped(vertices, request.edges);
-}
-
-std::string Planner::profile_key(const PlanRequest& request) {
-  const double proxy_alpha = resolve_proxy_alpha(request_alpha(request));
-  return join_classes(machine_classes(request.machines)) + "|" +
-         to_string(request.app) + "|" + canonical_alpha(proxy_alpha);
-}
-
-ProfileCache::EntryPtr Planner::profile(const std::vector<std::string>& classes,
-                                        AppKind app, double proxy_alpha,
-                                        const std::string& key,
-                                        const CancelToken* cancel) {
+ProfileCache::EntryPtr Planner::profile(const ProfileKey& key, const CancelToken* cancel) {
   PGLB_TRACE_SPAN("planner.profile", "planner");
   bool computed = false;
-  auto entry_ptr = cache_.get(key, [&]() -> ProfileCache::EntryPtr {
+  auto entry_ptr = cache_.get(key.encode(), [&]() -> ProfileCache::EntryPtr {
     computed = true;
     const StageTimer timer(metrics_, "profile");
 
-    // Snapshot the proxy under the suite lock (ensure_coverage from another
-    // thread may reallocate the proxy vector), then profile lock-free.
-    EdgeList proxy_graph{0};
-    GraphStats proxy_stats;
-    {
-      std::lock_guard<std::mutex> lock(suite_mutex_);
-      const ProxySuite::Proxy& proxy = suite_.nearest(proxy_alpha);
-      proxy_graph = proxy.graph;
-      proxy_stats = proxy.stats;
-    }
-
+    // A lattice proxy is generated here, inside the miss, on its first use.
+    // Proxies never change once made, so the graph is read without a lock.
+    const ProxySuite::Proxy& proxy = suite_.proxy(key.proxy_alpha, cancel);
     auto entry = std::make_shared<ProfileEntry>();
-    entry->proxy_alpha = proxy_alpha;
+    entry->proxy_alpha = key.proxy_alpha;
     entry->proxy_full_edges =
-        static_cast<double>(proxy_stats.num_edges) / options_.proxy_scale;
+        static_cast<double>(proxy.stats.num_edges) / options_.proxy_scale;
     entry->proxy_full_vertices =
-        static_cast<double>(proxy_stats.num_vertices) / options_.proxy_scale;
-    entry->proxy_total_degree = total_degree_histogram(proxy_graph);
+        static_cast<double>(proxy.stats.num_vertices) / options_.proxy_scale;
+    entry->proxy_total_degree = total_degree_histogram(proxy.graph);
     // Distinct class names are distinct specs, so each class is its own
     // machine group, in class order: one kernel run on the proxy, priced
     // for each class.
     const std::vector<double> class_seconds =
-        profile_groups_on_graph(cluster_from_names(classes), app, proxy_graph,
+        profile_groups_on_graph(cluster_from_names(key.classes), key.app, proxy.graph,
                                 options_.proxy_scale, cancel);
-    for (std::size_t i = 0; i < classes.size(); ++i) {
-      entry->class_times.emplace_back(classes[i], class_seconds[i]);
+    for (std::size_t i = 0; i < key.classes.size(); ++i) {
+      entry->class_times.emplace_back(key.classes[i], class_seconds[i]);
     }
     if (metrics_ != nullptr) {
-      metrics_->count("profile_runs", classes.size());
+      metrics_->count("profile_runs", key.classes.size());
     }
     return entry;
   }, cancel);
@@ -186,21 +135,17 @@ PlanResponse Planner::plan(const PlanRequest& request) {
   const CancelScope scope(token);
   try {
     const Cluster cluster = cluster_from_names(request.machines);
-    const double alpha = request_alpha(request);
-    double proxy_alpha = 0.0;
+    double alpha = 0.0;
+    const ProfileKey key = ProfileKey::of(request, &alpha);
     ProfileCache::EntryPtr entry;
     try {
-      proxy_alpha = resolve_proxy_alpha(alpha, &token);
-      const auto classes = machine_classes(request.machines);
-      const std::string key = join_classes(classes) + "|" + to_string(request.app) +
-                              "|" + canonical_alpha(proxy_alpha);
-      entry = profile(classes, request.app, proxy_alpha, key, &token);
+      entry = profile(key, &token);
     } catch (const CancelledError&) {
       throw;  // deadline expiry is a typed timeout, never a degraded plan
     } catch (const std::exception&) {
       // Profiling failed (injected fault, generator error, breaker open):
       // fall back rather than fail — a heuristic plan beats no plan.
-      return degraded_plan(request, cluster, alpha, proxy_alpha);
+      return degraded_plan(request, cluster, alpha, key.proxy_alpha);
     }
 
     // Expand per-class proxy runtimes to the cluster's machine order.
@@ -219,7 +164,7 @@ PlanResponse Planner::plan(const PlanRequest& request) {
     response.status = PlanStatus::kOk;
     response.app = to_string(request.app);
     response.fitted_alpha = alpha;
-    response.proxy_alpha = proxy_alpha;
+    response.proxy_alpha = key.proxy_alpha;
     response.ccr = ccr_from_times(times);
     response.weights = shares_from_capabilities(response.ccr);
     response.partitioner =

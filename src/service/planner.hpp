@@ -8,17 +8,17 @@
 // service.
 //
 // The expensive stage (synthetic-proxy profiling, Sec. III-B) is memoized in
-// an LRU cache keyed on (machine-class set, app, proxy alpha); repeated
-// requests over known machine classes reduce to arithmetic.  All derived
-// numbers are computed from the cached ProfileEntry alone, so a cached plan
-// is byte-identical to a freshly profiled one.
+// an LRU cache keyed on the request's ProfileKey (machine-class set, app,
+// proxy alpha); repeated requests over known machine classes reduce to
+// arithmetic.  All derived numbers are computed from the cached ProfileEntry
+// alone, so a cached plan is byte-identical to a freshly profiled one.
 
 #include <memory>
-#include <mutex>
 
 #include "core/proxy_suite.hpp"
 #include "service/metrics.hpp"
 #include "service/profile_cache.hpp"
+#include "service/profile_key.hpp"
 #include "service/protocol.hpp"
 #include "util/thread_pool.hpp"
 
@@ -63,10 +63,11 @@ class Planner {
   ///    (or "uniform" if even the heuristic fails).
   PlanResponse plan(const PlanRequest& request);
 
-  /// Stable cache key a request resolves to: "class+class|app|alpha" with
-  /// machine classes sorted and deduplicated and the proxy alpha in
-  /// canonical_alpha() form.  Exposed for tests and cache diagnostics.
-  std::string profile_key(const PlanRequest& request);
+  /// Stable cache key a request resolves to.  Pure: it generates nothing and
+  /// touches no cache.
+  std::string profile_key(const PlanRequest& request) const {
+    return ProfileKey::of(request).encode();
+  }
 
   ProfileCacheStats cache_stats() const { return cache_.stats(); }
   const PlannerOptions& options() const noexcept { return options_; }
@@ -106,17 +107,7 @@ class Planner {
   ThreadPool& thread_pool() noexcept { return pool_or_global(owned_pool_.get()); }
 
  private:
-  /// Resolve the proxy that covers `alpha` (generating one on demand) and
-  /// return its alpha.  Guarded by suite_mutex_.
-  double resolve_proxy_alpha(double alpha, const CancelToken* cancel = nullptr);
-
-  /// The request's alpha: given directly, or fitted from (V, E).  The fit
-  /// takes a few microseconds, so it is not memoized.
-  double request_alpha(const PlanRequest& request);
-
-  ProfileCache::EntryPtr profile(const std::vector<std::string>& classes, AppKind app,
-                                 double proxy_alpha, const std::string& key,
-                                 const CancelToken* cancel = nullptr);
+  ProfileCache::EntryPtr profile(const ProfileKey& key, const CancelToken* cancel);
 
   /// Fallback plan when profiling is unavailable (failure, fault, breaker
   /// open): thread-count weights, or uniform if even those fail.
@@ -130,7 +121,6 @@ class Planner {
   /// generation can already fan out over it during construction.
   std::unique_ptr<ThreadPool> owned_pool_;
 
-  std::mutex suite_mutex_;  ///< guards suite_ (ensure_coverage mutates it)
   ProxySuite suite_;
 
   ProfileCache cache_;

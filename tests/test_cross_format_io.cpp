@@ -9,6 +9,7 @@
 #include "gen/powerlaw.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
+#include "test_helpers.hpp"
 
 namespace pglb {
 namespace {
@@ -23,19 +24,9 @@ class CrossFormatIo : public ::testing::Test {
     return generate_powerlaw(config);
   }
 
-  std::string temp(const std::string& name) {
-    const auto dir = std::filesystem::temp_directory_path() / "pglb_xfmt";
-    std::filesystem::create_directories(dir);
-    const auto path = (dir / name).string();
-    cleanup_.push_back(path);
-    return path;
-  }
+  std::string temp(const std::string& name) { return scratch_.file(name); }
 
-  void TearDown() override {
-    for (const auto& p : cleanup_) std::filesystem::remove(p);
-  }
-
-  std::vector<std::string> cleanup_;
+  testing::ScratchDir scratch_{"xfmt"};
 };
 
 TEST_F(CrossFormatIo, AllFormatsRoundTripIdentically) {

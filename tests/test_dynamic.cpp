@@ -654,9 +654,8 @@ TEST(DeltaPlannerPersist, CorruptPayloadRejectsWholesale) {
   persist::append_u64(huge_length, std::uint64_t{1} << 20);
   oversized.replace(scorer_at, huge_length.size(), huge_length);
 
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "pglb_dynamic_corrupt";
-  std::filesystem::create_directories(dir);
+  const testing::ScratchDir scratch("dynamic_corrupt");
+  const std::filesystem::path& dir = scratch.path();
   for (const std::string& corrupt :
        {payload.substr(0, payload.size() / 2), payload + "x", oversized}) {
     DeltaPlanner target(planner, {}, nullptr);
@@ -678,7 +677,6 @@ TEST(DeltaPlannerPersist, CorruptPayloadRejectsWholesale) {
     EXPECT_EQ(global_registry().counter("persist.snapshot_rejected"), rejected_before + 1);
     EXPECT_EQ(restored.base_count(), 0u);
   }
-  std::filesystem::remove_all(dir);
 }
 
 /// Snapshots a base of `kind` whose highest vertex was removed, so its live

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "apps/registry.hpp"
 #include "gen/powerlaw.hpp"
 #include "graph/stats.hpp"
@@ -12,6 +14,17 @@
 
 namespace pglb {
 namespace {
+
+// The executor keeps pointers to its cluster and app profile, so building it
+// from a temporary of either must not compile.
+static_assert(std::is_constructible_v<VirtualClusterExecutor, const Cluster&,
+                                      const AppProfile&, const WorkloadTraits&>);
+static_assert(!std::is_constructible_v<VirtualClusterExecutor, Cluster&&,
+                                       const AppProfile&, const WorkloadTraits&>);
+static_assert(!std::is_constructible_v<VirtualClusterExecutor, const Cluster&,
+                                       AppProfile&&, const WorkloadTraits&>);
+static_assert(!std::is_constructible_v<VirtualClusterExecutor, Cluster&&,
+                                       AppProfile&&, const WorkloadTraits&>);
 
 WorkloadTraits traits() {
   WorkloadTraits t;

@@ -1,5 +1,5 @@
-// Fleet subsystem (docs/FLEET.md): routing-key mirror of the planner's
-// profile key, weighted rendezvous ranking, health-state bookkeeping on a
+// Fleet subsystem (docs/FLEET.md): the routing key (the planner's profile
+// key), weighted rendezvous ranking, health-state bookkeeping on a
 // virtual clock, and the two routing guarantees — routed plans byte-identical
 // to a single backend's, and cache-affine placement beating random routing
 // on aggregate hit rate.
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "fleet/local_backend.hpp"
 #include "fleet/router.hpp"
 #include "service/planner.hpp"
+#include "service/profile_key.hpp"
 #include "service/protocol.hpp"
+#include "test_helpers.hpp"
 
 namespace pglb {
 namespace {
@@ -37,7 +40,7 @@ ServerOptions small_server() {
 }
 
 /// Small deterministic mix: 3 cluster shapes x 2 apps, all with alphas inside
-/// the Table II coverage so routing keys mirror the planner exactly.
+/// the Table II coverage.
 PlanRequest mix_request(std::size_t combo, std::size_t sequence) {
   static const std::vector<std::vector<std::string>> kClusters = {
       {"m4.2xlarge", "c4.2xlarge"},
@@ -57,30 +60,39 @@ PlanRequest mix_request(std::size_t combo, std::size_t sequence) {
 
 // --- routing key ------------------------------------------------------------
 
-TEST(FleetHashing, RoutingProxyAlphaMirrorsSuiteCoverage) {
-  EXPECT_DOUBLE_EQ(routing_proxy_alpha(1.95), 1.95);
-  EXPECT_DOUBLE_EQ(routing_proxy_alpha(2.0), 1.95);
-  EXPECT_DOUBLE_EQ(routing_proxy_alpha(2.05), 2.1);
-  EXPECT_DOUBLE_EQ(routing_proxy_alpha(2.45), 2.3);
-  // Outside the +-0.25 coverage margin: the backend would generate an
-  // on-demand proxy at exactly this alpha, so the key uses it verbatim.
-  EXPECT_DOUBLE_EQ(routing_proxy_alpha(3.0), 3.0);
-  EXPECT_DOUBLE_EQ(routing_proxy_alpha(1.2), 1.2);
-}
-
 TEST(FleetHashing, RoutingKeyMatchesPlannerProfileKey) {
-  Planner planner(tiny_options());
+  // The router's key is the replica's cache key for every plan request:
+  // the in-coverage mix, machines shuffled and duplicated, alphas given and
+  // fitted, and the out-of-coverage sweep.  It must hold on a fresh planner
+  // and on one that has served the sweep, since keys depend on the request
+  // alone.
+  std::vector<PlanRequest> requests = testing::out_of_coverage_sweep();
   for (std::size_t combo = 0; combo < 6; ++combo) {
-    const PlanRequest request = mix_request(combo, combo);
-    EXPECT_EQ(routing_key(request), planner.profile_key(request))
-        << "combo " << combo;
+    requests.push_back(mix_request(combo, combo));
+    PlanRequest given = mix_request(combo, 100 + combo);
+    given.alpha = 1.8 + 0.1 * static_cast<double>(combo);
+    requests.push_back(given);
   }
-  // Machine order and duplicates must not change the key (classes are sorted
-  // and deduplicated, same as the profile cache).
   PlanRequest shuffled = mix_request(0, 99);
   shuffled.machines = {"c4.2xlarge", "m4.2xlarge", "c4.2xlarge"};
   EXPECT_EQ(routing_key(shuffled), routing_key(mix_request(0, 99)));
-  EXPECT_EQ(routing_key(shuffled), planner.profile_key(shuffled));
+  requests.push_back(shuffled);
+
+  Planner planner(tiny_options());
+  const auto check_all = [&](const char* when) {
+    for (const PlanRequest& request : requests) {
+      const std::string key = routing_key(request);
+      EXPECT_EQ(key, planner.profile_key(request)) << when << " " << request.id;
+      const auto parsed = ProfileKey::parse(key);
+      ASSERT_TRUE(parsed.has_value()) << key;
+      EXPECT_EQ(parsed->encode(), key);
+    }
+  };
+  check_all("fresh");
+  for (const PlanRequest& request : requests) {
+    ASSERT_TRUE(planner.plan(request).ok) << request.id;
+  }
+  check_all("after the sweep");
 }
 
 // --- rendezvous ranking -----------------------------------------------------
@@ -354,6 +366,58 @@ TEST(FleetRouter, RoutedPlanBytesMatchSingleBackend) {
     const std::string reference = solo.submit(line).get();
     const std::string routed = router.route(line);
     EXPECT_EQ(routed, reference) << "request " << i;
+  }
+}
+
+/// A replica slot that can be restarted in place: the router keeps routing
+/// to the same name while the LocalBackend behind it is swapped for a fresh
+/// one with an empty cache and a new proxy suite.
+class RestartableBackend : public Backend {
+ public:
+  explicit RestartableBackend(std::string name) : name_(std::move(name)) { restart(); }
+  const std::string& name() const override { return name_; }
+  std::future<std::string> submit(std::string line) override {
+    std::shared_ptr<LocalBackend> current;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      current = current_;
+    }
+    return current->submit(std::move(line));
+  }
+  void restart() {
+    auto fresh = std::make_shared<LocalBackend>(name_, tiny_options(), small_server());
+    std::lock_guard<std::mutex> lock(mutex_);
+    current_ = std::move(fresh);
+  }
+
+ private:
+  std::string name_;
+  std::mutex mutex_;
+  std::shared_ptr<LocalBackend> current_;
+};
+
+TEST(FleetRouter, OutOfCoverageBytesSurviveAReplicaRestart) {
+  // Reference: one solo replica answers the sweep in reverse order.
+  const std::vector<PlanRequest> sweep = testing::out_of_coverage_sweep();
+  LocalBackend solo("solo", tiny_options(), small_server());
+  std::map<std::string, std::string> reference;
+  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
+    reference[it->id] = solo.submit(serialize_request(*it)).get();
+  }
+
+  // Fleet: two replicas; one restarts halfway, then the whole sweep runs
+  // again, so later answers come from a replica with another history.
+  RouterOptions options;
+  options.probe_interval_ms = 0;
+  Router router(options, nullptr);
+  auto first = std::make_shared<RestartableBackend>("b0");
+  router.add_backend(first);
+  router.add_backend(std::make_shared<RestartableBackend>("b1"));
+  for (std::size_t i = 0; i < sweep.size() + sweep.size() / 2; ++i) {
+    if (i == sweep.size() / 2) first->restart();
+    const PlanRequest& request = sweep[i % sweep.size()];
+    EXPECT_EQ(router.route(serialize_request(request)), reference[request.id])
+        << request.id;
   }
 }
 

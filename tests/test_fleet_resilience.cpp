@@ -110,15 +110,15 @@ class SilentBackend : public Backend {
   std::vector<std::promise<std::string>> pending_;
 };
 
-/// First request (searching distinct out-of-coverage alphas, so every probe
-/// has its own routing key) whose rendezvous winner is backend `want`.  The
-/// ranking is deterministic, so the search always terminates quickly.
+/// First request (searching distinct lattice alphas, so every probe has its
+/// own routing key) whose rendezvous winner is backend `want`.  The ranking
+/// is deterministic, so the search always terminates quickly.
 PlanRequest request_ranked_first_on(const std::vector<std::string>& names,
                                     const std::vector<double>& weights,
                                     std::size_t want) {
-  for (int i = 0; i < 256; ++i) {
+  for (int i = 0; i < 200; ++i) {
     PlanRequest request = plan_request("pick-" + std::to_string(i));
-    request.alpha = 3.0 + 0.001 * i;  // outside coverage: keyed verbatim
+    request.alpha = 3.0 + 0.25 * i;  // one lattice point, and one key, each
     const auto order = rank_backends(routing_key(request), names, weights);
     if (order.front() == want) return request;
   }

@@ -15,19 +15,9 @@ namespace {
 
 class GraphIoTest : public ::testing::Test {
  protected:
-  std::string temp_path(const std::string& name) {
-    const auto dir = std::filesystem::temp_directory_path() / "pglb_io_test";
-    std::filesystem::create_directories(dir);
-    const auto path = dir / name;
-    cleanup_.push_back(path.string());
-    return path.string();
-  }
+  std::string temp_path(const std::string& name) { return scratch_.file(name); }
 
-  void TearDown() override {
-    for (const auto& p : cleanup_) std::filesystem::remove(p);
-  }
-
-  std::vector<std::string> cleanup_;
+  testing::ScratchDir scratch_{"io_test"};
 };
 
 TEST_F(GraphIoTest, TextRoundTrip) {

@@ -9,15 +9,17 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "fleet/warming.hpp"
 #include "obs/registry.hpp"
 #include "persist/snapshot.hpp"
 #include "persist/warm_state.hpp"
 #include "service/planner.hpp"
+#include "service/profile_key.hpp"
 #include "service/protocol.hpp"
+#include "test_helpers.hpp"
 
 namespace pglb {
 namespace {
@@ -38,9 +40,10 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Fresh per-test snapshot directory under the system temp root.
+/// Fresh per-test snapshot directory inside this process's scratch dir.
 std::string fresh_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("pglb_persist_" + tag);
+  static const testing::ScratchDir root("persist");
+  const auto dir = root.path() / tag;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
@@ -301,10 +304,10 @@ TEST(WarmState, OlderSnapshotWithATimeDatabaseSectionRestoresWarm) {
   for (const auto& exported : entries) rows += exported.entry->class_times.size();
   persist::append_u32(pool, rows);
   for (const auto& exported : entries) {
-    const auto request = plan_request_from_profile_key(exported.key);
-    ASSERT_TRUE(request.has_value()) << exported.key;
+    const auto key = ProfileKey::parse(exported.key);
+    ASSERT_TRUE(key.has_value()) << exported.key;
     for (const auto& [machine, seconds] : exported.entry->class_times) {
-      persist::append_string(pool, to_string(request->app));
+      persist::append_string(pool, to_string(key->app));
       persist::append_f64(pool, exported.entry->proxy_alpha);
       persist::append_string(pool, machine);
       persist::append_f64(pool, seconds);
@@ -405,21 +408,100 @@ TEST(Warming, ProfileKeyRoundTripsThroughPlanRequest) {
   const PlanRequest original = basic_request();
   const std::string key = planner.profile_key(original);
 
-  const auto rebuilt = plan_request_from_profile_key(key);
-  ASSERT_TRUE(rebuilt.has_value()) << key;
+  const auto parsed = ProfileKey::parse(key);
+  ASSERT_TRUE(parsed.has_value()) << key;
+  EXPECT_EQ(parsed->encode(), key);
   // The invariant peer warming rests on: profiling the rebuilt request
   // recreates exactly the cache entry the key names.
-  EXPECT_EQ(planner.profile_key(*rebuilt), key);
-  EXPECT_TRUE(planner.plan(*rebuilt).ok);
+  const PlanRequest rebuilt = parsed->request();
+  EXPECT_EQ(planner.profile_key(rebuilt), key);
+  EXPECT_TRUE(planner.plan(rebuilt).ok);
 }
 
+/// Texts no replica writes as a profile key.  Also seeds the parser fuzz.
+const std::vector<std::string> kMalformedKeys = {
+    "", "no-pipes", "a|b", "a|b|c|d", "|pagerank|2.1", "m+|pagerank|2.1",
+    "m4.2xlarge|not_an_app|2.1", "m4.2xlarge|pagerank|", "m4.2xlarge|pagerank|x",
+    "m4.2xlarge|pagerank|2.1junk", "m4.2xlarge|pagerank|0.5",
+    "m4.2xlarge|pagerank|inf",
+    // Unknown, unsorted and duplicated machine classes.
+    "m4|pagerank|2.1", "m4.2xlarge+|pagerank|2.1", "+m4.2xlarge|pagerank|2.1",
+    "m4.2xlarge+c4.2xlarge|pagerank|2.1", "c4.2xlarge+c4.2xlarge|pagerank|2.1",
+    // Valid alphas in spellings canonical_alpha() never writes.
+    "m4.2xlarge|pagerank|2.10", "m4.2xlarge|pagerank|2.1e0", "m4.2xlarge|pagerank|+2.1",
+    "m4.2xlarge|pagerank|02.1", "m4.2xlarge|pagerank| 2.1", "m4.2xlarge|Pagerank|2.1",
+    // Alphas no request resolves to: inside a stock margin, between lattice
+    // points, past the lattice ends, non-finite.
+    "m4.2xlarge|pagerank|2.5", "m4.2xlarge|pagerank|2.2", "m4.2xlarge|pagerank|3.2",
+    "m4.2xlarge|pagerank|1", "m4.2xlarge|pagerank|64.25", "m4.2xlarge|pagerank|-0",
+    "m4.2xlarge|pagerank|1e+308", "m4.2xlarge|pagerank|nan",
+    "m4.2xlarge|pagerank|2.1|"};
+
 TEST(Warming, MalformedProfileKeysAreRejected) {
-  for (const char* bad :
-       {"", "no-pipes", "a|b", "a|b|c|d", "|pagerank|2.1", "m+|pagerank|2.1",
-        "m4.2xlarge|not_an_app|2.1", "m4.2xlarge|pagerank|", "m4.2xlarge|pagerank|x",
-        "m4.2xlarge|pagerank|2.1junk", "m4.2xlarge|pagerank|0.5",
-        "m4.2xlarge|pagerank|inf"}) {
-    EXPECT_FALSE(plan_request_from_profile_key(bad).has_value()) << bad;
+  for (const std::string& bad : kMalformedKeys) {
+    EXPECT_FALSE(ProfileKey::parse(bad).has_value()) << bad;
+  }
+}
+
+TEST(Warming, FuzzedProfileKeysParseOnlyInCanonicalForm) {
+  // parse() reads peers' warm_keys answers, so it sees untrusted bytes.  Its
+  // contract: it accepts a text exactly when that text is the encoding of
+  // the key it parses to, and that key is one a request resolves to.
+  const std::vector<std::string> valid = {
+      "c4.2xlarge+m4.2xlarge|pagerank|1.95", "c4.2xlarge+m4.2xlarge|coloring|2.1",
+      "c4.2xlarge+c4.4xlarge+c4.xlarge|sssp|2.3", "xeon_server_l+xeon_server_s|kcore|1.25",
+      "m4.2xlarge+r3.2xlarge|triangle_count|3.25", "c4.8xlarge|connected_components|64",
+      "c4.2xlarge+m4.2xlarge|pagerank|2.75", "c4.xlarge|pagerank|1.5"};
+  for (const std::string& key : valid) {
+    const auto parsed = ProfileKey::parse(key);
+    ASSERT_TRUE(parsed.has_value()) << key;
+    EXPECT_EQ(parsed->encode(), key);
+    EXPECT_EQ(ProfileKey::of(parsed->request()), *parsed) << key;
+  }
+
+  std::vector<std::string> corpus = kMalformedKeys;
+  corpus.insert(corpus.end(), valid.begin(), valid.end());
+  testing::TextMutator mutator(corpus, 19);
+  std::size_t accepted = 0;
+  for (int round = 0; round < 50'000; ++round) {
+    const std::string text = mutator.next();
+    const auto parsed = ProfileKey::parse(text);
+    if (!parsed) continue;
+    ++accepted;
+    ASSERT_EQ(parsed->encode(), text);
+    ASSERT_EQ(ProfileKey::of(parsed->request()), *parsed) << text;
+  }
+  EXPECT_GT(accepted, 0u);  // splices of valid keys do parse
+}
+
+TEST(Warming, WarmedReplicaRecreatesThePeersEntriesBitForBit) {
+  // Replaying a peer's keys through parse() and request() on a fresh replica
+  // reproduces the peer's entries exactly, out-of-coverage ones included:
+  // their proxies come from the alpha and the suite seed, not from history.
+  Planner peer(tiny_options());
+  for (const PlanRequest& request : testing::out_of_coverage_sweep()) {
+    ASSERT_TRUE(peer.plan(request).ok) << request.id;
+  }
+  ASSERT_TRUE(peer.plan(basic_request()).ok);
+
+  Planner newcomer(tiny_options());
+  const auto exported = peer.export_cache();
+  for (const auto& entry : exported) {
+    const auto key = ProfileKey::parse(entry.key);
+    ASSERT_TRUE(key.has_value()) << entry.key;
+    ASSERT_TRUE(newcomer.plan(key->request()).ok) << entry.key;
+  }
+  // A one-entry cache section carries the key, the class times and the
+  // proxy fields as raw bits, so equal sections mean bit-identical entries.
+  const auto section = [](const ProfileCache::ExportedEntry& entry) {
+    return persist::encode_profile_cache_section(
+        std::vector<ProfileCache::ExportedEntry>{{entry.key, 0, entry.entry}});
+  };
+  std::map<std::string, std::string> warmed;
+  for (const auto& entry : newcomer.export_cache()) warmed[entry.key] = section(entry);
+  ASSERT_EQ(warmed.size(), exported.size());
+  for (const auto& entry : exported) {
+    EXPECT_EQ(warmed[entry.key], section(entry)) << entry.key;
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "service/metrics.hpp"
 #include "service/planner.hpp"
 #include "service/profile_cache.hpp"
+#include "test_helpers.hpp"
 
 namespace pglb {
 namespace {
@@ -331,6 +334,95 @@ TEST(PlannerCache, ColdPlanRunsTheKernelOnceAndPricesEachClass) {
   ASSERT_TRUE(planner.plan(request).ok);  // a hit runs and prices nothing
   EXPECT_EQ(registry.counter("engine.app_runs") - app_runs, 1u);
   EXPECT_EQ(registry.counter("profiler.cells") - cells, 4u);
+}
+
+// --- out-of-coverage alphas: one pure proxy identity -----------------------
+
+TEST(PlannerCache, OutOfCoveragePlansDoNotDependOnHistory) {
+  // Each request is planned on the proxy its own alpha names, so two
+  // planners answering the sweep in opposite orders agree byte for byte,
+  // and so does a planner that sees each request alone.
+  const std::vector<PlanRequest> sweep = testing::out_of_coverage_sweep();
+  Planner forward(tiny_options());
+  Planner backward(tiny_options());
+  std::map<std::string, std::string> forward_bytes;
+  for (const PlanRequest& request : sweep) {
+    const PlanResponse response = forward.plan(request);
+    ASSERT_TRUE(response.ok) << request.id << ": " << response.error;
+    EXPECT_TRUE(response.degraded.empty()) << request.id;
+    forward_bytes[request.id] = serialize_response(response);
+  }
+  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
+    EXPECT_EQ(serialize_response(backward.plan(*it)), forward_bytes[it->id]) << it->id;
+  }
+  for (const PlanRequest& request : sweep) {
+    Planner alone(tiny_options());
+    EXPECT_EQ(serialize_response(alone.plan(request)), forward_bytes[request.id])
+        << request.id;
+  }
+}
+
+TEST(PlannerCache, ProfileKeyIsPureAndNamesTheLattice) {
+  // profile_key() is const and generates nothing; it names the proxy the
+  // plan is computed on, and reports it as proxy_alpha.
+  const Planner planner(tiny_options());
+  const std::uint64_t generated = global_registry().counter("proxy.generated");
+  PlanRequest request = basic_request();
+  request.alpha = 2.8;
+  EXPECT_EQ(planner.profile_key(request), "c4.2xlarge+m4.2xlarge|pagerank|2.75");
+  request.alpha.reset();
+  request.edges = 0;  // fits to the sparse clamp, alpha 6
+  EXPECT_EQ(planner.profile_key(request), "c4.2xlarge+m4.2xlarge|pagerank|6");
+  EXPECT_EQ(global_registry().counter("proxy.generated"), generated);
+
+  Planner serving(tiny_options());
+  const PlanResponse response = serving.plan(request);
+  ASSERT_TRUE(response.ok);
+  EXPECT_EQ(response.fitted_alpha, 6.0);
+  EXPECT_EQ(response.proxy_alpha, 6.0);
+}
+
+TEST(PlannerCache, ConcurrentPlansOnOneLatticeAlphaGenerateItOnce) {
+  // Eight different profile keys on one lattice alpha miss at once: the
+  // lattice proxy is generated exactly once, inside one of the misses, and
+  // every answer equals the serial one.
+  std::vector<PlanRequest> requests;
+  const std::vector<std::vector<std::string>> clusters = {
+      {"m4.2xlarge", "c4.2xlarge"}, {"c4.xlarge", "c4.4xlarge"}};
+  for (const AppKind app : {AppKind::kPageRank, AppKind::kColoring,
+                            AppKind::kConnectedComponents, AppKind::kSssp}) {
+    for (const auto& machines : clusters) {
+      PlanRequest& request = requests.emplace_back(basic_request());
+      request.id = "lattice-" + std::to_string(requests.size());
+      request.app = app;
+      request.machines = machines;
+      request.alpha = 4.1;  // snaps to the lattice point 4
+    }
+  }
+  std::vector<std::string> serial;
+  {
+    Planner planner(tiny_options());
+    for (const PlanRequest& request : requests) {
+      serial.push_back(serialize_response(planner.plan(request)));
+    }
+  }
+
+  Planner planner(tiny_options());
+  const std::uint64_t generated = global_registry().counter("proxy.generated");
+  std::vector<std::string> concurrent(requests.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < static_cast<int>(requests.size())) std::this_thread::yield();
+      concurrent[i] = serialize_response(planner.plan(requests[i]));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(global_registry().counter("proxy.generated"), generated + 1);
+  EXPECT_EQ(concurrent, serial);
+  EXPECT_EQ(planner.cache_stats().misses, requests.size());
 }
 
 }  // namespace

@@ -168,11 +168,10 @@ TEST(OnlineCcr, PreloadedDatabaseAvoidsProfiling) {
   const auto cluster = testing::case2_cluster();
   TimeDatabase first;
   profile_cluster(first, cluster, suite, kPageRankOnly);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "pglb_online_preload.tsv").string();
+  const testing::ScratchDir scratch("online_preload");
+  const std::string path = scratch.file("pool.tsv");
   save_time_database(first, path);
   TimeDatabase second = load_time_database(path);
-  std::filesystem::remove(path);
   EXPECT_EQ(profile_cluster(second, cluster, suite, kPageRankOnly), 0u);
   EXPECT_EQ(second.entries(), first.entries());
 }

@@ -109,13 +109,12 @@ TEST(TimeDatabase, MissingMachinesListsOnlyUnknownTypes) {
 
 TEST(TimeDatabase, SaveLoadRoundTrip) {
   const auto db = sample_db();
-  const auto path =
-      (std::filesystem::temp_directory_path() / "pglb_pool_test.tsv").string();
+  const testing::ScratchDir scratch("pool");
+  const std::string path = scratch.file("pool.tsv");
   save_time_database(db, path);
   const auto loaded = load_time_database(path);
   EXPECT_EQ(loaded.size(), db.size());
   EXPECT_DOUBLE_EQ(*loaded.lookup({AppKind::kPageRank, 1.95, "xeon_server_l"}), 4.0);
-  std::filesystem::remove(path);
 }
 
 TEST(TimeDatabase, SaveLoadIsLocaleIndependent) {
@@ -133,11 +132,10 @@ TEST(TimeDatabase, SaveLoadIsLocaleIndependent) {
   if (!available) GTEST_SKIP() << "no comma-decimal locale installed";
 
   const auto db = sample_db();
-  const auto path =
-      (std::filesystem::temp_directory_path() / "pglb_pool_locale.tsv").string();
+  const testing::ScratchDir scratch("pool");
+  const std::string path = scratch.file("pool.tsv");
   save_time_database(db, path);
   const auto loaded = load_time_database(path);
-  std::filesystem::remove(path);
   std::setlocale(LC_NUMERIC, previous.c_str());
 
   EXPECT_EQ(loaded.size(), db.size());
@@ -147,13 +145,12 @@ TEST(TimeDatabase, SaveLoadIsLocaleIndependent) {
 
 TEST(TimeDatabase, SavedFileUsesDotDecimalPoints) {
   const auto db = sample_db();
-  const auto path =
-      (std::filesystem::temp_directory_path() / "pglb_pool_dots.tsv").string();
+  const testing::ScratchDir scratch("pool");
+  const std::string path = scratch.file("pool.tsv");
   save_time_database(db, path);
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-  std::filesystem::remove(path);
   EXPECT_EQ(content.find(','), std::string::npos);
   EXPECT_NE(content.find("1.95"), std::string::npos);
 }
@@ -161,8 +158,8 @@ TEST(TimeDatabase, SavedFileUsesDotDecimalPoints) {
 TEST(TimeDatabase, WritesV2HeaderAndStillLoadsV1Files) {
   // v2 flags the switch from precision(17) iostream numbers to shortest
   // round-trip form; v1 files written by older builds must keep loading.
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto v2_path = (dir / "pglb_pool_v2.tsv").string();
+  const testing::ScratchDir scratch("pool");
+  const std::string v2_path = scratch.file("v2.tsv");
   save_time_database(sample_db(), v2_path);
   {
     std::ifstream in(v2_path);
@@ -170,36 +167,32 @@ TEST(TimeDatabase, WritesV2HeaderAndStillLoadsV1Files) {
     std::getline(in, header);
     EXPECT_EQ(header, "# pglb-ccr-pool v2");
   }
-  std::filesystem::remove(v2_path);
 
-  const auto v1_path = (dir / "pglb_pool_v1.tsv").string();
+  const std::string v1_path = scratch.file("v1.tsv");
   {
     std::ofstream out(v1_path);
     out << "# pglb-ccr-pool v1\n"
         << "pagerank\t2.1000000000000001\txeon_server_s\t10\n";
   }
   const auto loaded = load_time_database(v1_path);
-  std::filesystem::remove(v1_path);
   EXPECT_DOUBLE_EQ(*loaded.lookup({AppKind::kPageRank, 2.1, "xeon_server_s"}), 10.0);
 }
 
 TEST(TimeDatabase, LoadRejectsCorruptFiles) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto bad_header = (dir / "pglb_pool_bad1.tsv").string();
+  const testing::ScratchDir scratch("pool");
+  const std::string bad_header = scratch.file("bad1.tsv");
   {
     std::ofstream out(bad_header);
     out << "not a pool file\n";
   }
   EXPECT_THROW(load_time_database(bad_header), std::runtime_error);
-  std::filesystem::remove(bad_header);
 
-  const auto bad_row = (dir / "pglb_pool_bad2.tsv").string();
+  const std::string bad_row = scratch.file("bad2.tsv");
   {
     std::ofstream out(bad_row);
     out << "# pglb-ccr-pool v1\npagerank\tnot_a_number\tm\t1.0\n";
   }
   EXPECT_THROW(load_time_database(bad_row), std::runtime_error);
-  std::filesystem::remove(bad_row);
 
   // from_chars accepts "nan" and "inf": a non-finite alpha, or seconds that
   // are not finite and positive, is a parse error naming the row's line.
@@ -209,7 +202,7 @@ TEST(TimeDatabase, LoadRejectsCorruptFiles) {
                           "pagerank\t2.3\txeon_server_s\tnan",
                           "pagerank\t2.3\txeon_server_s\t0",
                           "pagerank\t2.3\txeon_server_s\t-1"}) {
-    const auto path = (dir / "pglb_pool_bad3.tsv").string();
+    const std::string path = scratch.file("bad3.tsv");
     {
       std::ofstream out(path);
       out << "# pglb-ccr-pool v2\npagerank\t2.3\txeon_server_s\t4\n" << row << "\n";
@@ -223,7 +216,6 @@ TEST(TimeDatabase, LoadRejectsCorruptFiles) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << row << " threw a non-runtime_error: " << e.what();
     }
-    std::filesystem::remove(path);
   }
 
   EXPECT_THROW(load_time_database("/no/such/file.tsv"), std::runtime_error);

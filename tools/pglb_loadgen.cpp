@@ -818,10 +818,9 @@ LoadReport run_against_router(const SpawnOptions& spawn_options, std::size_t req
         }
         PlanRequest request = request_for(i % distinct, i);
         if (run.churn) {
-          // Unique alpha spaced beyond ProxySuite::kCoverageMargin from
-          // every other request's: each is a guaranteed coverage miss, so
-          // the backend generates and profiles a fresh proxy — sustained
-          // planning work no cache can absorb.
+          // Each alpha is its own proxy lattice point (up to request 121),
+          // so every request generates and profiles a fresh proxy —
+          // sustained planning work no cache can absorb.
           request.alpha = 3.0 + 2.0 * ProxySuite::kCoverageMargin *
                                     static_cast<double>(i + 1);
         }
